@@ -34,7 +34,7 @@ def test_table_main_shape(spark, tmp_path):
     assert set(df["graph"]) == {"cit-PT", "com-YT"}
     assert set(df["label"]) == {"WSD-L", "WSD-H", "GPS-A", "Triest", "ThinkD", "WRS"}
     assert len(df) == 12
-    for col in ["are", "mare", "time_s", "truth", "M", "events"]:
+    for col in ["are", "mare", "time_s", "concurrency", "truth", "M", "events"]:
         assert col in df.columns
     assert df["are"].notna().all()
 

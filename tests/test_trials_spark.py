@@ -26,19 +26,46 @@ def setting():
 ALGOS = [("WSD-H", "WSD-H", None), ("Triest", "Triest", None), ("ThinkD", "ThinkD", None)]
 
 
+def _fanout(spark, setting, algos, n_runs):
+    return run_trials(
+        spark, setting["stream"], "triangle", setting["M"], algos,
+        n_runs=n_runs, ckpt_every=setting["ck"], truth=setting["truth"],
+    )
+
+
 def test_spark_trials_match_local(spark, setting):
     """Every (algo, run) trial in the fan-out must equal the same trial run
-    sequentially on the driver — full determinism across the cluster."""
-    res = run_trials(
-        spark, setting["stream"], "triangle", setting["M"], ALGOS,
-        n_runs=2, ckpt_every=setting["ck"], truth=setting["truth"],
-    ).toPandas()
+    sequentially on the driver, bit for bit — full determinism across the
+    cluster."""
+    sdf = _fanout(spark, setting, ALGOS, 2)
+    assert sdf.rdd.getNumPartitions() == min(6, spark.sparkContext.defaultParallelism)
+    res = sdf.toPandas()
     for _, row in res.iterrows():
         sampler = make_sampler(row["label"], setting["M"], "triangle", int(row["run"]))
         local = run_trial(setting["stream"], sampler, setting["ck"])
-        assert local["final"] == pytest.approx(row["final"])
-        assert are(local["final"], setting["truth"][-1]) == pytest.approx(row["are"])
-        assert mare(local["est"], setting["truth"]) == pytest.approx(row["mare"])
+        assert local["final"] == row["final"]
+        assert are(local["final"], setting["truth"][-1]) == row["are"]
+        assert mare(local["est"], setting["truth"]) == row["mare"]
+
+
+@pytest.mark.parametrize(
+    "algos, n_runs",
+    [
+        (ALGOS[:1], 2),  # fewer trials than cores
+        (ALGOS, 3),  # 9 trials: an uneven split over the tasks
+    ],
+)
+def test_fanout_one_task_per_core(spark, setting, algos, n_runs):
+    """One shuffle-free task per core (never more than there are trials),
+    and every (label, run) runs exactly once."""
+    sdf = _fanout(spark, setting, algos, n_runs)
+    n_trials = len(algos) * n_runs
+    n_tasks = min(n_trials, spark.sparkContext.defaultParallelism)
+    assert sdf.rdd.getNumPartitions() == n_tasks
+    res = sdf.toPandas()
+    keys = sorted(zip(res["label"], res["run"]))
+    assert keys == sorted((l, r) for l, _, _ in algos for r in range(n_runs))
+    assert (res["concurrency"] == n_tasks).all()
 
 
 def test_trial_frame_aggregates_all_algos(spark, setting):
@@ -52,21 +79,14 @@ def test_trial_frame_aggregates_all_algos(spark, setting):
 
 
 def test_aggregate_matches_duckdb_oracle(spark, setting):
-    """The Spark SQL mean aggregation is itself oracle-checked."""
-    res = run_trials(
-        spark, setting["stream"], "triangle", setting["M"], ALGOS,
-        n_runs=3, ckpt_every=setting["ck"], truth=setting["truth"],
-    )
-    res.cache()
-    pdf = res.toPandas()
-    from pyspark.sql import functions as F
-
-    agg_df = res.groupBy("label").agg(
-        F.mean("are").alias("mean_are"), F.count("run").alias("n")
-    )
+    """The Spark SQL aggregation ``aggregate`` tabulates is itself
+    oracle-checked, the concurrency each time_s was taken under included."""
+    pdf = _fanout(spark, setting, ALGOS, 3).toPandas()
     assert_equivalent(
-        agg_df,
-        "SELECT label, avg(are) AS mean_are, count(run) AS n FROM trials GROUP BY label",
+        spark.createDataFrame(aggregate(spark.createDataFrame(pdf))),
+        """SELECT label, avg(are) AS are, avg(mare) AS mare, avg(time_s) AS time_s,
+                  max(concurrency) AS concurrency, count(run) AS n_runs
+           FROM trials GROUP BY label""",
         trials=pdf,
     )
 
