@@ -56,17 +56,32 @@ class WRS:
 
     def _instance_weight_sum(self, u: int, v: int) -> float:
         """Σ over instances of 1/P[other stored edges stored], where waiting
-        room edges are stored with probability 1."""
-        total = 0.0
+        room edges are stored with probability 1.
+
+        The random-pairing probability depends only on how many of an
+        instance's other edges sit in the reservoir, so ``inv[j]`` — the
+        inverse probability for ``j`` reservoir edges, its product formed in
+        the order ``i = 0..j-1`` — is built once per event and looked up per
+        instance."""
+        inst = instances(self.pattern, self.adj, u, v)
+        if not inst:
+            return 0.0
         rc = self.rp.capacity
         n = self.rp.population
-        for other_edges in instances(self.pattern, self.adj, u, v):
-            n_res = sum(1 for k in other_edges if k not in self.waiting)
-            p = 1.0
-            for i in range(n_res):
-                if n - i > 0:
-                    p *= min(1.0, (rc - i) / (n - i))
-            total += 1.0 / max(p, 1e-300)
+        inv = []
+        p = 1.0
+        for i in range(self.h):
+            inv.append(1.0 / max(p, 1e-300))
+            if n - i > 0:
+                p *= min(1.0, (rc - i) / (n - i))
+        waiting = self.waiting
+        total = 0.0
+        for other_edges in inst:
+            j = 0
+            for k in other_edges:
+                if k not in waiting:
+                    j += 1
+            total += inv[j]
         return total
 
     def process(self, op: int, u: int, v: int) -> None:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .patterns import edge_key, instances
-from .ranks import inclusion_prob, rank
+from .ranks import contribution, rank
 from .reservoir import Reservoir
 from .weights import WeightContext
 
@@ -44,17 +44,6 @@ class GPS:
         self.estimate = 0.0
         self.t = 0
 
-    def _contribution(self, inst: list[tuple[tuple[int, int], ...]]) -> float:
-        z = self.z_star
-        recs = self.res.records
-        total = 0.0
-        for other_edges in inst:
-            p = 1.0
-            for k in other_edges:
-                p *= inclusion_prob(recs[k].weight, z)
-            total += 1.0 / p
-        return total
-
     def process(self, op: int, u: int, v: int) -> None:
         self.t += 1
         if op > 0:
@@ -67,9 +56,9 @@ class GPS:
         res = self.res
         if key in res:
             return
-        inst = list(instances(self.pattern, res.adj, u, v))
+        inst = instances(self.pattern, res.adj, u, v)
         if inst:
-            self.estimate += self._contribution(inst)
+            self.estimate += contribution(inst, res.records, self.z_star)
         w = self.weight_fn(WeightContext(u, v, self.t, self.pattern, inst, res))
         r = rank(w, self.rng)
         if not res.full:
@@ -99,6 +88,6 @@ class GPSA(GPS):
         rec = res.records.get(key)
         if rec is not None and not rec.tagged:
             res.tag(key)  # leaves the zombie occupying capacity
-        inst = list(instances(self.pattern, res.adj, u, v))
+        inst = instances(self.pattern, res.adj, u, v)
         if inst:
-            self.estimate -= self._contribution(inst)
+            self.estimate -= contribution(inst, res.records, self.z_star)

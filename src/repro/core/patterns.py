@@ -6,13 +6,11 @@ focal edge itself (samplers insert the edge after enumeration and remove it
 before enumeration on deletion — matching Algorithm 2's
 ``J ⊆ (R ∪ e_t), e_t ∈ J``).
 
-``instances`` yields, per instance, the tuple of the *other* ``|H| - 1`` edge
+``instances`` returns, per instance, the tuple of the *other* ``|H| - 1`` edge
 keys (canonical ``(min, max)`` vertex pairs). Supported patterns and their
 edge counts |H| (Section V-A): wedge (2), triangle (3), 4-clique (6).
 """
 from __future__ import annotations
-
-from typing import Iterator
 
 PATTERN_EDGES = {"wedge": 2, "triangle": 3, "4clique": 6}
 
@@ -26,41 +24,44 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 def instances(
     pattern: str, adj: dict[int, set[int]], u: int, v: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield the other-edge key tuples of every ``pattern`` instance formed by
-    edge ``(u, v)`` together with edges of the graph described by ``adj``."""
+) -> list[tuple[tuple[int, int], ...]]:
+    """The other-edge key tuples of every ``pattern`` instance formed by edge
+    ``(u, v)`` together with edges of the graph described by ``adj``, in the
+    iteration order of ``adj``'s neighbour sets (estimators sum over them in
+    this order). Wedge and triangle keys inline ``edge_key``: this runs once
+    per stream event."""
     nu = adj.get(u, _EMPTY)
     nv = adj.get(v, _EMPTY)
     if pattern == "wedge":
-        for w in nu:
-            if w != v:
-                yield (edge_key(u, w),)
-        for w in nv:
-            if w != u:
-                yield (edge_key(v, w),)
-    elif pattern == "triangle":
+        out = [((u, w) if u < w else (w, u),) for w in nu if w != v]
+        out += [((v, w) if v < w else (w, v),) for w in nv if w != u]
+        return out
+    if pattern == "triangle":
         if len(nu) > len(nv):
             nu, nv = nv, nu
-        for w in nu:
-            if w in nv:
-                yield (edge_key(u, w), edge_key(v, w))
-    elif pattern == "4clique":
+        return [
+            ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v))
+            for w in nu
+            if w in nv
+        ]
+    if pattern == "4clique":
         common = sorted(w for w in (nu if len(nu) <= len(nv) else nv) if w in nv and w in nu)
+        out = []
         for i in range(len(common)):
             wi = common[i]
             awi = adj.get(wi, _EMPTY)
             for j in range(i + 1, len(common)):
                 wj = common[j]
                 if wj in awi:
-                    yield (
+                    out.append((
                         edge_key(u, wi),
                         edge_key(v, wi),
                         edge_key(u, wj),
                         edge_key(v, wj),
                         edge_key(wi, wj),
-                    )
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
+                    ))
+        return out
+    raise ValueError(f"unknown pattern {pattern!r}")
 
 
 def count_instances(pattern: str, adj: dict[int, set[int]], u: int, v: int) -> int:

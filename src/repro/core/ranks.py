@@ -4,12 +4,15 @@ The paper instantiates the rank function as ``r = f(w) = w / u`` with
 ``u ~ Uniform(0, 1]`` [GPS / priority sampling], for which
 
     P[r > tau] = min(1, w / tau)     (tau > 0; 1 when tau == 0).
+
+``contribution`` is the Horvitz–Thompson term both weighted samplers (WSD's
+Algorithm 2 and GPS/GPS-A) add or subtract per event.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rank", "inclusion_prob"]
+__all__ = ["rank", "inclusion_prob", "contribution"]
 
 
 def rank(w: float, rng: np.random.Generator) -> float:
@@ -25,3 +28,30 @@ def inclusion_prob(w: float, tau: float) -> float:
     if tau <= 0.0:
         return 1.0
     return min(1.0, w / tau)
+
+
+def contribution(
+    instances: list[tuple[tuple[int, int], ...]],
+    records: dict,
+    tau: float,
+) -> float:
+    """Σ_J Π_{e'∈J\\e} 1/P[r(e') > tau] over the pattern instances ``J``
+    formed by an event, ``records`` mapping each sampled edge key to its
+    record (with ``.weight``).
+
+    ``inclusion_prob`` is inlined (the per-event hot path): ``w / tau if
+    w < tau else 1.0`` is the same IEEE value as ``min(1.0, w / tau)``, and
+    the products and the sum run in the same order, so the result is
+    bit-identical to composing ``inclusion_prob``. With ``tau <= 0`` every
+    probability is 1 and each instance adds exactly 1.0.
+    """
+    if tau <= 0.0:
+        return float(len(instances))
+    total = 0.0
+    for other_edges in instances:
+        p = 1.0
+        for k in other_edges:
+            w = records[k].weight
+            p *= w / tau if w < tau else 1.0
+        total += 1.0 / p
+    return total

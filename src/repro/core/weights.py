@@ -58,26 +58,28 @@ def build_state(ctx: WeightContext, variant: str = "max") -> np.ndarray:
     feature is scale-free across streams (the paper handles scale with batch
     normalisation; see DESIGN.md substitutions).
     """
-    h = PATTERN_EDGES[ctx.pattern]
+    inst = ctx.instances
     res = ctx.reservoir
-    s = np.zeros(h + 3, dtype=np.float64)
-    s[0] = len(ctx.instances)
-    s[1] = res.degree(ctx.u)
-    s[2] = res.degree(ctx.v)
-    if ctx.instances:
-        recs = res.records
-        agg = np.zeros(h) if variant == "avg" else np.full(h, -np.inf)
-        for inst in ctx.instances:
-            idx = sorted(recs[k].t for k in inst)
-            idx.append(ctx.t)  # e itself is always the latest edge of J
-            if variant == "avg":
-                agg += np.asarray(idx, dtype=np.float64)
-            else:
-                np.maximum(agg, idx, out=agg)
-        if variant == "avg":
-            agg /= len(ctx.instances)
-        s[3:] = agg / max(1, ctx.t)
-    return s
+    head = [len(inst), res.degree(ctx.u), res.degree(ctx.v)]
+    if not inst:
+        return np.array(head + [0.0] * PATTERN_EDGES[ctx.pattern], dtype=np.float64)
+    # Plain Python, not numpy: this runs once per insertion over a few values,
+    # where numpy's per-call overhead dominates. Arrival times are ints, so
+    # column maxima and sums are exact and the divisions are the same IEEE
+    # operations as an element-wise float64 reduction.
+    recs = res.records
+    t = max(1, ctx.t)
+    if len(inst[0]) == 1:  # wedge: one other edge, nothing to sort
+        cols = [[recs[k].t for (k,) in inst]]
+    else:
+        cols = zip(*[sorted([recs[k].t for k in other]) for other in inst])
+    if variant == "avg":
+        n = len(inst)
+        temporal = [sum(c) / n / t for c in cols]
+    else:
+        temporal = [max(c) / t for c in cols]
+    temporal.append(ctx.t / t)  # e itself is always the latest edge of J
+    return np.array(head + temporal, dtype=np.float64)
 
 
 def make_learned_weight(

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .patterns import edge_key, instances
-from .ranks import inclusion_prob, rank
+from .ranks import contribution, rank
 from .reservoir import Reservoir
 from .weights import WeightContext
 
@@ -52,19 +52,6 @@ class WSD:
         self.estimate = 0.0
         self.t = 0
 
-    # -- estimator ---------------------------------------------------------
-    def _contribution(self, inst: list[tuple[tuple[int, int], ...]]) -> float:
-        """Σ_J Π_{e'∈J\\e} 1/P[r(e') > tau_q], with tau_q as observed now."""
-        tq = self.tau_q
-        recs = self.res.records
-        total = 0.0
-        for other_edges in inst:
-            p = 1.0
-            for k in other_edges:
-                p *= inclusion_prob(recs[k].weight, tq)
-            total += 1.0 / p
-        return total
-
     # -- event processing --------------------------------------------------
     def process(self, op: int, u: int, v: int) -> None:
         self.t += 1
@@ -91,9 +78,9 @@ class WSD:
         key = edge_key(u, v)
         if key in self.res:  # infeasible event; defensive no-op
             return None
-        inst = list(instances(self.pattern, self.res.adj, u, v))
+        inst = instances(self.pattern, self.res.adj, u, v)
         if inst:
-            self.estimate += self._contribution(inst)
+            self.estimate += contribution(inst, self.res.records, self.tau_q)
         return inst
 
     def finish_insert(self, u: int, v: int, inst: list, w: float) -> None:
@@ -121,6 +108,6 @@ class WSD:
         res = self.res
         if key in res:  # Case 3: drop outright (the fix over GPS-A)
             res.remove(key)
-        inst = list(instances(self.pattern, res.adj, u, v))
+        inst = instances(self.pattern, res.adj, u, v)
         if inst:
-            self.estimate -= self._contribution(inst)
+            self.estimate -= contribution(inst, res.records, self.tau_q)

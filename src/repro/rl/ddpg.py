@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import Adam, init_mlp, mlp_backward, mlp_forward
+from .policy import actor_weight
 
 __all__ = ["ReplayBuffer", "DDPG"]
 
@@ -88,9 +89,7 @@ class DDPG:
 
     # -- policies ----------------------------------------------------------
     def act(self, s: np.ndarray, params: dict | None = None) -> float:
-        p = self.actor if params is None else params
-        z = float((p["W"] @ s)[0] + p["b"][0])
-        return max(z, 0.0) + 1.0
+        return actor_weight(self.actor if params is None else params, s)
 
     def act_batch(self, s: np.ndarray, params: dict) -> tuple[np.ndarray, np.ndarray]:
         z = s @ params["W"].T + params["b"]  # (B,1)

@@ -16,7 +16,14 @@ import numpy as np
 from ..core.patterns import PATTERN_EDGES
 from ..core.weights import make_learned_weight
 
-__all__ = ["LearnedPolicy", "heuristic_init_params"]
+__all__ = ["LearnedPolicy", "actor_weight", "heuristic_init_params"]
+
+
+def actor_weight(params: dict[str, np.ndarray], state: np.ndarray) -> float:
+    """The actor of Eq. 27, ``ReLU(W s + b) + 1``, for one state. ``W @ s``
+    stays a numpy dot (a Python sum may round differently)."""
+    z = float((params["W"] @ state)[0] + params["b"][0])
+    return max(z, 0.0) + 1.0
 
 
 def heuristic_init_params(pattern: str) -> dict[str, np.ndarray]:
@@ -42,8 +49,7 @@ class LearnedPolicy:
         self.variant = variant
 
     def __call__(self, state: np.ndarray) -> float:
-        z = float((self.params["W"] @ state)[0] + self.params["b"][0])
-        return max(z, 0.0) + 1.0
+        return actor_weight(self.params, state)
 
     def as_weight_fn(self):
         return make_learned_weight(self, self.variant)

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.ranks import inclusion_prob, rank
-from repro.core.reservoir import Reservoir
+from repro.core.ranks import contribution, inclusion_prob, rank
+from repro.core.reservoir import EdgeRecord, Reservoir
 
 
 def test_rank_positive_and_at_least_weight():
@@ -33,6 +33,39 @@ def test_inclusion_prob():
     assert inclusion_prob(5.0, 0.0) == 1.0
     assert inclusion_prob(5.0, 10.0) == 0.5
     assert inclusion_prob(20.0, 10.0) == 1.0
+
+
+def _contribution_reference(instances, records, tau):
+    """Algorithm 2's sum composed from ``inclusion_prob``, term by term."""
+    total = 0.0
+    for other_edges in instances:
+        p = 1.0
+        for k in other_edges:
+            p *= inclusion_prob(records[k].weight, tau)
+        total += 1.0 / p
+    return total
+
+
+def test_contribution_bit_identical_to_inclusion_prob_reference():
+    """The inlined probability must give the same IEEE result, including
+    weights equal to, just below and just above the threshold."""
+    rng = np.random.default_rng(9)
+    for trial in range(300):
+        tau = [0.0, 1.0, float(rng.uniform(0.5, 50.0))][trial % 3]
+        near = [tau, np.nextafter(tau, 0.0), np.nextafter(tau, np.inf)] if tau else []
+        keys = [(i, i + 1) for i in range(12)]
+        weights = [float(x) for x in rng.uniform(0.1, 60.0, len(keys) - len(near))]
+        records = {
+            k: EdgeRecord(float(w), 0.0, 0, i)
+            for i, (k, w) in enumerate(zip(keys, weights + near))
+        }
+        arity = int(rng.integers(1, 6))
+        instances = [
+            tuple(keys[j] for j in rng.choice(len(keys), arity, replace=False))
+            for _ in range(int(rng.integers(0, 8)))
+        ]
+        got = contribution(instances, records, tau)
+        assert got.hex() == _contribution_reference(instances, records, tau).hex()
 
 
 def test_reservoir_add_and_membership():

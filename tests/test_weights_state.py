@@ -41,8 +41,21 @@ def test_heuristic_weight_no_instances():
 
 @pytest.mark.parametrize("pattern", sorted(PATTERN_EDGES))
 def test_state_dimension(pattern):
-    s = build_state(_ctx(pattern, [], Reservoir(5)), "max")
-    assert s.shape == (PATTERN_EDGES[pattern] + 3,)
+    for variant in ("max", "avg"):
+        s = build_state(_ctx(pattern, [], Reservoir(5)), variant)
+        assert isinstance(s, np.ndarray)
+        assert s.dtype == np.float64
+        assert s.shape == (PATTERN_EDGES[pattern] + 3,)
+
+
+@pytest.mark.parametrize("variant", ["max", "avg"])
+def test_state_type_with_instances(variant):
+    res = _reservoir_with([((0, 2), 2), ((1, 2), 4), ((0, 3), 6), ((1, 3), 8)])
+    inst = [((0, 2), (1, 2)), ((0, 3), (1, 3))]
+    s = build_state(_ctx("triangle", inst, res, t=10), variant)
+    assert isinstance(s, np.ndarray)
+    assert s.dtype == np.float64
+    assert s.shape == (PATTERN_EDGES["triangle"] + 3,)
 
 
 def test_state_topological_part():
@@ -54,32 +67,78 @@ def test_state_topological_part():
     assert s[2] == res.degree(1) == 1
 
 
-def test_state_temporal_max(   ):
+def test_state_temporal_max():
     """v_j = max over instances of the j-th smallest arrival index (Eq. 20),
     normalised by t; the focal edge is always the last index so v_|H|/t = 1."""
     res = _reservoir_with([((0, 2), 2), ((1, 2), 4), ((0, 3), 6), ((1, 3), 8)])
     inst = [((0, 2), (1, 2)), ((0, 3), (1, 3))]
     s = build_state(_ctx("triangle", inst, res, t=10), "max")
-    np.testing.assert_allclose(s[3:], [max(2, 6) / 10, max(4, 8) / 10, 1.0])
+    assert s.tolist() == [2, 2, 2, max(2, 6) / 10, max(4, 8) / 10, 1.0]
 
 
 def test_state_temporal_avg():
     res = _reservoir_with([((0, 2), 2), ((1, 2), 4), ((0, 3), 6), ((1, 3), 8)])
     inst = [((0, 2), (1, 2)), ((0, 3), (1, 3))]
     s = build_state(_ctx("triangle", inst, res, t=10), "avg")
-    np.testing.assert_allclose(s[3:], [(2 + 6) / 2 / 10, (4 + 8) / 2 / 10, 1.0])
+    assert s.tolist() == [2, 2, 2, (2 + 6) / 2 / 10, (4 + 8) / 2 / 10, 1.0]
 
 
 def test_state_no_instances_zero_temporal():
     s = build_state(_ctx("triangle", [], Reservoir(5)), "max")
-    np.testing.assert_allclose(s[3:], 0.0)
+    assert s.tolist() == [0.0] * 6
 
 
 def test_state_wedge_positions():
     res = _reservoir_with([((0, 2), 5)])
     inst = [((0, 2),)]
     s = build_state(_ctx("wedge", inst, res, t=20), "max")
-    np.testing.assert_allclose(s[3:], [5 / 20, 1.0])
+    assert s.tolist() == [1, 1, 0, 5 / 20, 1.0]
+
+
+def test_state_wedge_avg():
+    """Wedge instances have one other edge each: position 1 averages their
+    arrival times, position 2 is the focal edge."""
+    res = _reservoir_with([((0, 2), 3), ((0, 3), 4), ((1, 4), 9)])
+    inst = [((0, 2),), ((0, 3),), ((1, 4),)]
+    s = build_state(_ctx("wedge", inst, res, u=0, v=1, t=30), "avg")
+    assert s.tolist() == [3, 2, 1, (3 + 4 + 9) / 3 / 30, 1.0]
+
+
+def _four_clique_reservoir():
+    """Two 4-cliques on the focal edge (0, 1): {0, 1, 2, 3} and {0, 1, 2, 4}."""
+    return _reservoir_with([
+        ((0, 2), 1), ((1, 2), 2), ((0, 3), 3), ((1, 3), 4), ((2, 3), 5),
+        ((0, 4), 6), ((1, 4), 7), ((2, 4), 8),
+    ])
+
+
+_FOUR_CLIQUE_INST = [
+    ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),  # arrival times 1 2 3 4 5
+    ((0, 2), (1, 2), (0, 4), (1, 4), (2, 4)),  # arrival times 1 2 6 7 8
+]
+
+
+def test_state_4clique_max():
+    s = build_state(_ctx("4clique", _FOUR_CLIQUE_INST, _four_clique_reservoir(), t=16), "max")
+    assert s.tolist() == [2, 3, 3, 1 / 16, 2 / 16, 6 / 16, 7 / 16, 8 / 16, 1.0]
+
+
+def test_state_4clique_avg():
+    s = build_state(_ctx("4clique", _FOUR_CLIQUE_INST, _four_clique_reservoir(), t=16), "avg")
+    assert s.tolist() == [
+        2, 3, 3,
+        (1 + 1) / 2 / 16, (2 + 2) / 2 / 16, (3 + 6) / 2 / 16,
+        (4 + 7) / 2 / 16, (5 + 8) / 2 / 16, 1.0,
+    ]
+
+
+def test_state_avg_unsorted_arrivals():
+    """Positions are ranks of arrival time within an instance, not the
+    instance's key order: the keys here arrive in reverse."""
+    res = _reservoir_with([((0, 2), 7), ((1, 2), 3), ((0, 3), 5), ((1, 3), 1)])
+    inst = [((0, 2), (1, 2)), ((0, 3), (1, 3))]
+    s = build_state(_ctx("triangle", inst, res, t=10), "avg")
+    assert s.tolist() == [2, 2, 2, (3 + 1) / 2 / 10, (7 + 5) / 2 / 10, 1.0]
 
 
 def test_make_learned_weight_calls_actor():
