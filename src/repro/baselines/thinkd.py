@@ -8,7 +8,7 @@ the paper's comparison relies on.
 """
 from __future__ import annotations
 
-from ..core.patterns import PATTERN_EDGES, count_instances, edge_key
+from ..core.patterns import PATTERN_EDGES, adj_add, adj_remove, count_instances
 from .random_pairing import RandomPairing
 
 __all__ = ["ThinkD"]
@@ -26,39 +26,26 @@ class ThinkD:
         self.estimate = 0.0
         self.t = 0
 
-    def _adj_add(self, key: tuple[int, int]) -> None:
-        u, v = key
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def _adj_remove(self, key: tuple[int, int]) -> None:
-        u, v = key
-        for a, b in ((u, v), (v, u)):
-            s = self.adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del self.adj[a]
-
     def process(self, op: int, u: int, v: int) -> None:
         self.t += 1
-        key = edge_key(u, v)
+        key = (u, v) if u < v else (v, u)
+        adj = self.adj
+        rp = self.rp
         if op > 0:
             # Update the estimate first (the "think" step), with the
             # inclusion probability observed before this event's bookkeeping.
-            c = count_instances(self.pattern, self.adj, u, v)
+            c = count_instances(self.pattern, adj, u, v)
             if c:
-                self.estimate += c / self.rp.inclusion_prob(self.h - 1)
-            decision, evicted = self.rp.on_insert(key)
+                self.estimate += c / rp.inclusion_prob(self.h - 1)
+            decision, evicted = rp.on_insert(key)
             if decision == "replace":
-                self._adj_remove(evicted)
-            if decision in ("add", "replace"):
-                self._adj_add(key)
+                adj_remove(adj, evicted)
+            if decision != "skip":
+                adj_add(adj, key)
         else:
-            was_sampled = key in self.rp
-            if was_sampled:
-                self._adj_remove(key)
-            c = count_instances(self.pattern, self.adj, u, v)
+            if key in rp:
+                adj_remove(adj, key)
+            c = count_instances(self.pattern, adj, u, v)
             if c:
-                self.estimate -= c / self.rp.inclusion_prob(self.h - 1)
-            self.rp.on_delete(key)
+                self.estimate -= c / rp.inclusion_prob(self.h - 1)
+            rp.on_delete(key)

@@ -9,7 +9,7 @@ comparison exercises.
 """
 from __future__ import annotations
 
-from ..core.patterns import PATTERN_EDGES, count_instances, edge_key
+from ..core.patterns import PATTERN_EDGES, adj_add, adj_remove, count_instances
 from .random_pairing import RandomPairing
 
 __all__ = ["Triest"]
@@ -27,47 +27,25 @@ class Triest:
         self.sample_count = 0.0  # instances wholly inside the sample graph
         self.t = 0
 
-    # -- adjacency/count hooks on sample membership changes ----------------
-    def _count_with(self, key: tuple[int, int]) -> int:
-        """Instances formed by ``key`` with the *other* sampled edges; the
-        adjacency must not contain ``key`` when called."""
-        return count_instances(self.pattern, self.adj, key[0], key[1])
-
-    def _adj_add(self, key: tuple[int, int]) -> None:
-        u, v = key
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def _adj_remove(self, key: tuple[int, int]) -> None:
-        u, v = key
-        for a, b in ((u, v), (v, u)):
-            s = self.adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del self.adj[a]
-
-    def _sample_add(self, key: tuple[int, int]) -> None:
-        self.sample_count += self._count_with(key)
-        self._adj_add(key)
-
-    def _sample_remove(self, key: tuple[int, int]) -> None:
-        self._adj_remove(key)
-        self.sample_count -= self._count_with(key)
-
-    # -- stream interface --------------------------------------------------
     def process(self, op: int, u: int, v: int) -> None:
+        """On every sample membership change, ``sample_count`` moves by the
+        instances the edge forms with the *other* sampled edges (counted
+        while the adjacency does not hold it)."""
         self.t += 1
-        key = edge_key(u, v)
+        key = (u, v) if u < v else (v, u)
+        adj = self.adj
         if op > 0:
             decision, evicted = self.rp.on_insert(key)
+            if decision == "skip":
+                return
             if decision == "replace":
-                self._sample_remove(evicted)
-            if decision in ("add", "replace"):
-                self._sample_add(key)
-        else:
-            if self.rp.on_delete(key):
-                self._sample_remove(key)
+                adj_remove(adj, evicted)
+                self.sample_count -= count_instances(self.pattern, adj, *evicted)
+            self.sample_count += count_instances(self.pattern, adj, u, v)
+            adj_add(adj, key)
+        elif self.rp.on_delete(key):
+            adj_remove(adj, key)
+            self.sample_count -= count_instances(self.pattern, adj, u, v)
 
     @property
     def estimate(self) -> float:

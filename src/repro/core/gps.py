@@ -12,56 +12,33 @@ capacity until evicted by rank — the space-waste drawback WSD removes.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from .patterns import edge_key, instances
-from .ranks import contribution, rank
-from .reservoir import Reservoir
+from .patterns import instances
+from .ranks import contribution
+from .weighted import WeightedSampler
 from .weights import WeightContext
 
 __all__ = ["GPS", "GPSA"]
 
 
-class GPS:
+class GPS(WeightedSampler):
     name = "GPS"
     supports_deletion = False
 
-    def __init__(
-        self,
-        M: int,
-        pattern: str,
-        weight_fn: Callable[[WeightContext], float],
-        seed: int = 0,
-    ) -> None:
-        self.M = M
-        self.pattern = pattern
-        self.weight_fn = weight_fn
-        self.rng = np.random.default_rng(seed)
-        self.res = Reservoir(M)
+    def __init__(self, M, pattern, weight_fn, seed=0) -> None:
+        super().__init__(M, pattern, weight_fn, seed)
         self.z_star = 0.0  # r_{M+1}: largest discarded rank
-        self.estimate = 0.0
-        self.t = 0
-
-    def process(self, op: int, u: int, v: int) -> None:
-        self.t += 1
-        if op > 0:
-            self._insert(u, v)
-        else:
-            self._delete(u, v)
 
     def _insert(self, u: int, v: int) -> None:
-        key = edge_key(u, v)
+        key = (u, v) if u < v else (v, u)
         res = self.res
-        if key in res:
+        if key in res.records:
             return
         inst = instances(self.pattern, res.adj, u, v)
         if inst:
             self.estimate += contribution(inst, res.records, self.z_star)
         w = self.weight_fn(WeightContext(u, v, self.t, self.pattern, inst, res))
-        r = rank(w, self.rng)
-        if not res.full:
+        r = self._rank(w)
+        if len(res.records) < res.capacity:
             res.add(key, w, r, self.t)
         else:
             _, mrec = res.min_entry()
@@ -83,7 +60,7 @@ class GPSA(GPS):
     supports_deletion = True
 
     def _delete(self, u: int, v: int) -> None:
-        key = edge_key(u, v)
+        key = (u, v) if u < v else (v, u)
         res = self.res
         rec = res.records.get(key)
         if rec is not None and not rec.tagged:

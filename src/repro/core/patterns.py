@@ -9,17 +9,56 @@ before enumeration on deletion — matching Algorithm 2's
 ``instances`` returns, per instance, the tuple of the *other* ``|H| - 1`` edge
 keys (canonical ``(min, max)`` vertex pairs). Supported patterns and their
 edge counts |H| (Section V-A): wedge (2), triangle (3), 4-clique (6).
+
+``adj_add`` / ``adj_remove`` are the one way every sampler and the exact
+counter edit such an adjacency. Set iteration order — and with it the order
+estimators sum instance terms in — depends on the exact sequence of set
+operations, so all of them go through these two.
 """
 from __future__ import annotations
 
 PATTERN_EDGES = {"wedge": 2, "triangle": 3, "4clique": 6}
 
-__all__ = ["PATTERN_EDGES", "edge_key", "instances", "count_instances"]
+__all__ = [
+    "PATTERN_EDGES", "edge_key", "adj_add", "adj_remove", "instances", "count_instances",
+]
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical undirected edge key."""
     return (u, v) if u < v else (v, u)
+
+
+def adj_add(adj: dict[int, set[int]], key: tuple[int, int]) -> None:
+    """Add undirected edge ``key = (u, v)``: ``v`` to ``adj[u]``, then ``u``
+    to ``adj[v]``."""
+    u, v = key
+    s = adj.get(u)
+    if s is None:
+        adj[u] = {v}
+    else:
+        s.add(v)
+    s = adj.get(v)
+    if s is None:
+        adj[v] = {u}
+    else:
+        s.add(u)
+
+
+def adj_remove(adj: dict[int, set[int]], key: tuple[int, int]) -> None:
+    """Remove undirected edge ``key = (u, v)`` (absent halves are ignored),
+    ``u``'s side first; a vertex left without neighbours is dropped."""
+    u, v = key
+    s = adj.get(u)
+    if s is not None:
+        s.discard(v)
+        if not s:
+            del adj[u]
+    s = adj.get(v)
+    if s is not None:
+        s.discard(u)
+        if not s:
+            del adj[v]
 
 
 def instances(
@@ -29,7 +68,8 @@ def instances(
     ``(u, v)`` together with edges of the graph described by ``adj``, in the
     iteration order of ``adj``'s neighbour sets (estimators sum over them in
     this order). Wedge and triangle keys inline ``edge_key``: this runs once
-    per stream event."""
+    per stream event. Triangles and 4-cliques need a common neighbour of
+    ``u`` and ``v``; most events have none and return at once."""
     nu = adj.get(u, _EMPTY)
     nv = adj.get(v, _EMPTY)
     if pattern == "wedge":
@@ -37,6 +77,8 @@ def instances(
         out += [((v, w) if v < w else (w, v),) for w in nv if w != u]
         return out
     if pattern == "triangle":
+        if nu.isdisjoint(nv):
+            return []
         if len(nu) > len(nv):
             nu, nv = nv, nu
         return [
@@ -45,6 +87,8 @@ def instances(
             if w in nv
         ]
     if pattern == "4clique":
+        if nu.isdisjoint(nv):
+            return []
         common = sorted(w for w in (nu if len(nu) <= len(nv) else nv) if w in nv and w in nu)
         out = []
         for i in range(len(common)):
@@ -66,17 +110,19 @@ def instances(
 
 def count_instances(pattern: str, adj: dict[int, set[int]], u: int, v: int) -> int:
     """Number of ``pattern`` instances formed by edge ``(u, v)`` — the exact
-    per-event count delta, specialised for speed (no key materialisation)."""
+    per-event count delta, specialised for speed (no key materialisation).
+    Counts are integers, so iterating a set intersection instead of ``nu`` in
+    order gives exactly the same number."""
     nu = adj.get(u, _EMPTY)
     nv = adj.get(v, _EMPTY)
     if pattern == "wedge":
         return len(nu) - (1 if v in nu else 0) + len(nv) - (1 if u in nv else 0)
     if pattern == "triangle":
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        return sum(1 for w in nu if w in nv)
+        return len(nu & nv)
     if pattern == "4clique":
-        common = [w for w in (nu if len(nu) <= len(nv) else nv) if w in nv and w in nu]
+        if nu.isdisjoint(nv):
+            return 0
+        common = list(nu & nv)
         c = 0
         for i in range(len(common)):
             awi = adj.get(common[i], _EMPTY)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from .patterns import adj_add, adj_remove
+
 __all__ = ["EdgeRecord", "Reservoir"]
 
 
@@ -61,24 +63,13 @@ class Reservoir:
         rec = EdgeRecord(weight, rnk, t, self._uid)
         self.records[key] = rec
         heappush(self._heap, (rnk, rec.uid, key))
-        u, v = key
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def _drop_adj(self, key: tuple[int, int]) -> None:
-        u, v = key
-        for a, b in ((u, v), (v, u)):
-            s = self.adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del self.adj[a]
+        adj_add(self.adj, key)
 
     def remove(self, key: tuple[int, int]) -> EdgeRecord:
         """Remove an edge outright (WSD Case 3). Heap entry removed lazily."""
         rec = self.records.pop(key)
         if not rec.tagged:
-            self._drop_adj(key)
+            adj_remove(self.adj, key)
         return rec
 
     def tag(self, key: tuple[int, int]) -> None:
@@ -87,7 +78,7 @@ class Reservoir:
         rec = self.records[key]
         if not rec.tagged:
             rec.tagged = True
-            self._drop_adj(key)
+            adj_remove(self.adj, key)
 
     def min_entry(self) -> tuple[tuple[int, int], EdgeRecord]:
         """(key, record) of the minimum-rank sampled edge. O(log M) amortised."""
@@ -104,7 +95,7 @@ class Reservoir:
         heappop(self._heap)
         del self.records[key]
         if not rec.tagged:
-            self._drop_adj(key)
+            adj_remove(self.adj, key)
         return key, rec
 
     def degree(self, v: int) -> int:

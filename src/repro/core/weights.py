@@ -85,9 +85,25 @@ def build_state(ctx: WeightContext, variant: str = "max") -> np.ndarray:
 def make_learned_weight(
     actor: Callable[[np.ndarray], float], variant: str = "max"
 ) -> Callable[[WeightContext], float]:
-    """WSD-L weight function: state -> actor -> positive weight."""
+    """WSD-L weight function: state -> actor -> positive weight.
+
+    Most insertions complete no instance. Their state is
+    ``[0, |N(u)|, |N(v)|, 0, …, 0]`` for either ``variant``, a function of
+    the two degrees alone, so the function memoises the actor's output per
+    (pattern, |N(u)|, |N(v)|) for the weight function's lifetime; the actor
+    is a deterministic function of the state, so a memoised weight has the
+    same bits as a fresh call. States with instances always go through
+    ``build_state`` and the actor."""
+    memo: dict[tuple[str, int, int], float] = {}
 
     def fn(ctx: WeightContext) -> float:
-        return float(actor(build_state(ctx, variant)))
+        if ctx.instances:
+            return float(actor(build_state(ctx, variant)))
+        res = ctx.reservoir
+        key = (ctx.pattern, res.degree(ctx.u), res.degree(ctx.v))
+        w = memo.get(key)
+        if w is None:
+            w = memo[key] = float(actor(build_state(ctx, variant)))
+        return w
 
     return fn

@@ -18,48 +18,25 @@ by ``e`` with currently sampled edges.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from .patterns import edge_key, instances
-from .ranks import contribution, rank
-from .reservoir import Reservoir
+from .patterns import instances
+from .ranks import contribution
+from .weighted import WeightedSampler
 from .weights import WeightContext
 
 __all__ = ["WSD"]
 
 
-class WSD:
+class WSD(WeightedSampler):
     """WSD sampler + estimator. ``weight_fn`` distinguishes WSD-H / WSD-L."""
 
     name = "WSD"
 
-    def __init__(
-        self,
-        M: int,
-        pattern: str,
-        weight_fn: Callable[[WeightContext], float],
-        seed: int = 0,
-    ) -> None:
-        self.M = M
-        self.pattern = pattern
-        self.weight_fn = weight_fn
-        self.rng = np.random.default_rng(seed)
-        self.res = Reservoir(M)
+    def __init__(self, M, pattern, weight_fn, seed=0) -> None:
+        super().__init__(M, pattern, weight_fn, seed)
         self.tau_p = 0.0
         self.tau_q = 0.0
-        self.estimate = 0.0
-        self.t = 0
 
     # -- event processing --------------------------------------------------
-    def process(self, op: int, u: int, v: int) -> None:
-        self.t += 1
-        if op > 0:
-            self._insert(u, v)
-        else:
-            self._delete(u, v)
-
     def _insert(self, u: int, v: int) -> None:
         inst = self.begin_insert(u, v)
         if inst is None:
@@ -75,38 +52,37 @@ class WSD:
         edges, or None for an infeasible duplicate. Split out so the RL
         environment can observe the state and choose the weight before
         ``finish_insert`` commits the sampling decision."""
-        key = edge_key(u, v)
-        if key in self.res:  # infeasible event; defensive no-op
-            return None
-        inst = instances(self.pattern, self.res.adj, u, v)
+        res = self.res
+        if ((u, v) if u < v else (v, u)) in res.records:
+            return None  # infeasible event; defensive no-op
+        inst = instances(self.pattern, res.adj, u, v)
         if inst:
-            self.estimate += contribution(inst, self.res.records, self.tau_q)
+            self.estimate += contribution(inst, res.records, self.tau_q)
         return inst
 
     def finish_insert(self, u: int, v: int, inst: list, w: float) -> None:
         """Phase 2 of an insertion (Algorithm 1 ``insert``) with weight ``w``."""
-        key = edge_key(u, v)
         res = self.res
-        r = rank(w, self.rng)
-        if not res.full:  # Case 1: tau_p, tau_q held
+        r = self._rank(w)
+        if len(res.records) < res.capacity:  # Case 1: tau_p, tau_q held
             if r > self.tau_p:  # Case 1.1
-                res.add(key, w, r, self.t)
+                res.add((u, v) if u < v else (v, u), w, r, self.t)
             # Case 1.2: discard
         else:  # Case 2: refresh tau_p to the reservoir's minimum rank
             _, mrec = res.min_entry()
             self.tau_p = mrec.rank
             if r > self.tau_p:  # Case 2.1: replace the minimum
                 res.pop_min()
-                res.add(key, w, r, self.t)
+                res.add((u, v) if u < v else (v, u), w, r, self.t)
                 self.tau_q = self.tau_p
             elif r > self.tau_q:  # Case 2.2
                 self.tau_q = r
             # Case 2.3: discard
 
     def _delete(self, u: int, v: int) -> None:
-        key = edge_key(u, v)
+        key = (u, v) if u < v else (v, u)
         res = self.res
-        if key in res:  # Case 3: drop outright (the fix over GPS-A)
+        if key in res.records:  # Case 3: drop outright (the fix over GPS-A)
             res.remove(key)
         inst = instances(self.pattern, res.adj, u, v)
         if inst:

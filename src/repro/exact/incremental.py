@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.patterns import count_instances, edge_key
+from ..core.patterns import adj_add, adj_remove, count_instances, edge_key
 
 __all__ = ["ExactCounter", "truth_trajectory", "checkpoints"]
 
@@ -37,20 +37,15 @@ class ExactCounter:
         if b in self.adj.get(a, ()):  # infeasible duplicate; defensive
             return
         self.count += count_instances(self.pattern, self.adj, a, b)
-        self.adj.setdefault(a, set()).add(b)
-        self.adj.setdefault(b, set()).add(a)
+        adj_add(self.adj, key)
         self.n_edges += 1
 
     def delete(self, u: int, v: int) -> None:
-        a, b = edge_key(u, v)
-        s = self.adj.get(a)
-        if s is None or b not in s:  # infeasible; defensive
+        key = edge_key(u, v)
+        a, b = key
+        if b not in self.adj.get(a, ()):  # infeasible; defensive
             return
-        for x, y in ((a, b), (b, a)):
-            t = self.adj[x]
-            t.discard(y)
-            if not t:
-                del self.adj[x]
+        adj_remove(self.adj, key)
         self.count -= count_instances(self.pattern, self.adj, a, b)
         self.n_edges -= 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Linear", "Adam", "relu", "mlp_forward", "mlp_backward", "init_mlp"]
+__all__ = ["Adam", "relu", "mlp_forward", "mlp_backward", "init_mlp"]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -36,15 +36,6 @@ class Adam:
             mhat = self.m[k] / (1 - self.b1**self.t)
             vhat = self.v[k] / (1 - self.b2**self.t)
             self.params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-class Linear:
-    """Utility for a standalone affine map y = x @ W.T + b."""
-
-    @staticmethod
-    def init(d_in: int, d_out: int, rng: np.random.Generator, scale: float | None = None) -> dict:
-        s = scale if scale is not None else 1.0 / np.sqrt(d_in)
-        return {"W": rng.uniform(-s, s, (d_out, d_in)), "b": np.zeros(d_out)}
 
 
 def init_mlp(d_in: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:

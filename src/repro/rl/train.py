@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,26 +49,21 @@ class TrainConfig:
     beta_m: float = 0.5
     beta_l: float = 0.2
     seed: int = 0
-    fields: dict = field(default_factory=dict)
 
 
-def _training_streams(dataset: str, scenario: str, pattern: str, cfg: TrainConfig):
+def _training_streams(dataset: str, scenario: str, cfg: TrainConfig):
     # ``dataset`` names the *training* graph itself (callers resolve the
-    # Table I test→train pairing via generators.TRAIN_OF).
-    streams = []
-    for i in range(cfg.n_streams):
-        edges = generate(dataset, scale=cfg.scale, seed_offset=0)
-        streams.append(
-            make_stream(
-                edges,
-                scenario if scenario != "insertion-only" else "insertion-only",
-                alpha=cfg.alpha,
-                beta_m=cfg.beta_m,
-                beta_l=cfg.beta_l,
-                seed=cfg.seed + 100 + i,
-            )
+    # Table I test→train pairing via generators.TRAIN_OF). Every stream is
+    # built from the same graph (generation is deterministic), with its own
+    # stream seed.
+    edges = generate(dataset, scale=cfg.scale, seed_offset=0)
+    return [
+        make_stream(
+            edges, scenario, alpha=cfg.alpha, beta_m=cfg.beta_m,
+            beta_l=cfg.beta_l, seed=cfg.seed + 100 + i,
         )
-    return streams
+        for i in range(cfg.n_streams)
+    ]
 
 
 def train_policy(
@@ -82,7 +77,7 @@ def train_policy(
     and the per-episode return trace."""
     cfg = cfg or TrainConfig()
     t0 = time.perf_counter()
-    streams = _training_streams(dataset, scenario, pattern, cfg)
+    streams = _training_streams(dataset, scenario, cfg)
 
     def m_for(stream) -> int:
         if cfg.M > 0:

@@ -3,10 +3,11 @@
 The kernels' hot paths are tuned for speed, and a speed-up must not change a
 single result. This test pins every checkpoint estimate (as ``float.hex``) of
 the six ``ALGOS_DYNAMIC`` samplers plus WSD-L with ``variant="avg"`` — both
-WSD-L variants with a fixed, untrained actor — on one small stream per
-(pattern, deletion scenario), with a reservoir smaller than the stream and
-one larger than it. It also pins one tiny ``train_policy`` run, which goes
-through the RL environment's state construction.
+WSD-L variants with a fixed, untrained actor — and WSD-U on one small stream
+per (pattern, deletion scenario), and of GPS on the insertion-only stream
+(Table VI), each with a reservoir smaller than the stream and one larger than
+it. It also pins one tiny ``train_policy`` run, which goes through the RL
+environment's state construction.
 
 The values live in ``golden/kernel_trajectories.json``. To re-record them
 (only after a change that is *meant* to move estimates), run::
@@ -38,7 +39,7 @@ SCENARIOS = ["massive", "light"]
 SMALL_M = 60
 SEED = 11
 N_CKPT = 12
-LABELS = [*ALGOS_DYNAMIC, "WSD-L(avg)"]
+LABELS = [*ALGOS_DYNAMIC, "WSD-L(avg)", "WSD-U"]
 # No warm start, so the pinned actor is a trained one; its parameters depend
 # on every replayed state bit for bit.
 TRAIN = dict(
@@ -98,6 +99,10 @@ CELLS = [
     for scenario in SCENARIOS
     for m in ("small", "full")
     for label in LABELS
+] + [
+    ("GPS", pattern, "insertion-only", m)
+    for pattern in PATTERNS
+    for m in ("small", "full")
 ]
 
 

@@ -2,17 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.rl.nn import Adam, Linear, init_mlp, mlp_backward, mlp_forward, relu
+from repro.rl.nn import Adam, init_mlp, mlp_backward, mlp_forward, relu
 
 
 def test_relu():
     np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-
-def test_linear_init_shapes():
-    rng = np.random.default_rng(0)
-    p = Linear.init(4, 2, rng)
-    assert p["W"].shape == (2, 4) and p["b"].shape == (2,)
 
 
 def test_init_mlp_shapes():

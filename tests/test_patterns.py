@@ -117,3 +117,19 @@ def test_unknown_pattern_raises():
 
 def test_pattern_edge_counts():
     assert PATTERN_EDGES == {"wedge": 2, "triangle": 3, "4clique": 6}
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.6])
+def test_count_matches_enumeration_every_focal_pair(pattern, density):
+    """``count_instances`` (set intersections, early exits on disjoint
+    neighbourhoods) equals the length of ``instances`` for every non-edge of
+    random adjacencies, sparse ones included."""
+    rng = np.random.default_rng(int(density * 100))
+    for _ in range(4):
+        adj, edges = _random_adj(12, density, rng)
+        for u, v in combinations(range(12), 2):
+            if (u, v) in edges:
+                continue
+            for a, b in ((u, v), (v, u)):
+                assert count_instances(pattern, adj, a, b) == len(instances(pattern, adj, a, b))

@@ -11,6 +11,7 @@ from repro.core.weights import (
     make_learned_weight,
     uniform_weight,
 )
+from repro.rl.policy import actor_weight
 
 
 def _reservoir_with(edges_with_t):
@@ -153,3 +154,33 @@ def test_make_learned_weight_calls_actor():
     w = fn(_ctx("triangle", [], res))
     assert w == 3.5
     assert got["state"].shape == (6,)
+
+
+@pytest.mark.parametrize("variant", ["max", "avg"])
+def test_learned_weight_memo_matches_actor_bits(variant):
+    """Instance-free insertions reuse the actor's output per degree pair:
+    same float bits as ``actor(build_state(ctx))``, one actor call per
+    (|N(u)|, |N(v)|); states with instances always call the actor."""
+    params = {"W": np.array([[9.0, 0.37, -0.21, 1.3, 0.7, 0.11]]), "b": np.array([0.05])}
+    calls = []
+
+    def actor(state):
+        calls.append(state.tolist())
+        return actor_weight(params, state)
+
+    fn = make_learned_weight(actor, variant)
+    res = _reservoir_with([((0, 1), 1), ((0, 2), 2), ((1, 2), 3), ((2, 3), 4), ((3, 4), 5)])
+    pairs = [(0, 4), (5, 6), (1, 3), (4, 5), (0, 4), (1, 3), (5, 6), (6, 4), (4, 6)]
+    for t, (u, v) in enumerate(pairs * 3, start=10):
+        ctx = _ctx("triangle", [], res, t=t, u=u, v=v)
+        assert fn(ctx).hex() == float(actor_weight(params, build_state(ctx, variant))).hex()
+    degree_pairs = {(res.degree(u), res.degree(v)) for u, v in pairs}
+    assert len(calls) == len(degree_pairs)
+    assert sorted(c[1:3] for c in calls) == sorted(list(p) for p in degree_pairs)
+
+    inst = [((1, 2), (0, 2))]
+    ctx = _ctx("triangle", inst, res, t=40)
+    n = len(calls)
+    for _ in range(2):
+        assert fn(ctx).hex() == float(actor_weight(params, build_state(ctx, variant))).hex()
+    assert len(calls) == n + 2
