@@ -42,15 +42,20 @@ def interleave(edges: np.ndarray, frac: float, *, seed: int = 0) -> np.ndarray:
     if frac <= 0.0 or len(edges) < 2:
         return edges
     rng = np.random.default_rng(seed)
-    b = max(1, int(len(edges) * min(frac, 1.0)))
-    buf: list[int] = []
+    n = len(edges)
+    b = max(1, int(n * min(frac, 1.0)))
+    # Edge i >= b arrives at a full buffer of b + 1 slots (itself last), and
+    # the slot drawn leaves. Every draw is over [0, b + 1), so one vector call
+    # gives the same values as n - b scalar calls.
+    picks = rng.integers(0, b + 1, size=n - b).tolist()
+    buf = list(range(b))
     order: list[int] = []
-    for i in range(len(edges)):
-        buf.append(i)
-        if len(buf) > b:
-            j = int(rng.integers(0, len(buf)))
-            buf[j], buf[-1] = buf[-1], buf[j]
-            order.append(buf.pop())
+    for i, j in zip(range(b, n), picks):
+        if j == b:
+            order.append(i)
+        else:
+            order.append(buf[j])
+            buf[j] = i
     rng.shuffle(buf)
     order.extend(buf)
     return edges[np.asarray(order, dtype=np.int64)]
@@ -182,31 +187,40 @@ def social_graph(n: int, m_out: int = 10, *, seed: int = 0, closure: float = 0.6
     and high clustering — the regime where weighted sampling pays off most.
     """
     rng = np.random.default_rng(seed)
-    deg = np.zeros(n)
+    w = np.ones(n)  # degree + 1, the preferential-attachment weight
     adj: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int]] = []
+    cdf: np.ndarray | None = None  # of w[:v]; stale after any link
 
     def link(a: int, b: int) -> None:
+        nonlocal cdf
         edges.append((a, b))
-        deg[a] += 1
-        deg[b] += 1
+        w[a] += 1.0
+        w[b] += 1.0
         adj[a].append(b)
         adj[b].append(a)
+        cdf = None
 
     start = max(2, m_out)
     for v in range(1, start):
         link(v, int(rng.integers(0, v)))
     for v in range(start, n):
+        cdf = None
         chosen: set[int] = set()
         for _ in range(min(m_out, v)):
             t = -1
             if chosen and rng.random() < closure:
-                base_v = int(rng.choice(list(chosen)))
+                lst = list(chosen)
+                base_v = lst[int(rng.integers(0, len(lst)))]
                 if adj[base_v]:
-                    t = int(adj[base_v][int(rng.integers(0, len(adj[base_v])))])
+                    t = adj[base_v][int(rng.integers(0, len(adj[base_v])))]
             if t < 0 or t == v or t in chosen:
-                w = deg[:v] + 1.0
-                t = int(rng.choice(v, p=w / w.sum()))
+                # Generator.choice(v, p=w[:v] / w[:v].sum()), draw for draw.
+                if cdf is None:
+                    wv = w[:v]
+                    cdf = (wv / wv.sum()).cumsum()
+                    cdf /= cdf[-1]
+                t = int(cdf.searchsorted(rng.random(), side="right"))
             if t != v and t not in chosen:
                 chosen.add(t)
                 link(v, t)

@@ -19,6 +19,8 @@ random permutation), RBFS (random-start BFS order).
 """
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 STREAM_DTYPE = np.dtype([("op", np.int8), ("u", np.int64), ("v", np.int64)])
@@ -73,20 +75,20 @@ def massive_deletion_stream(
     ops: list[int] = []
     us: list[int] = []
     vs: list[int] = []
-    n_edges = len(edges)
+    del_until = last_del_frac * len(edges)
     alive: dict[tuple[int, int], None] = {}  # insertion-ordered set
-    for i, (u, v) in enumerate(edges):
-        key = (int(u), int(v))
+    for i, (u, v) in enumerate(edges.tolist()):
+        key = (u, v)
         if key in alive:
             continue
         alive[key] = None
         ops.append(1)
-        us.append(key[0])
-        vs.append(key[1])
-        if i < last_del_frac * n_edges and rng.random() < alpha and alive:
-            current = list(alive.keys())
+        us.append(u)
+        vs.append(v)
+        if i < del_until and rng.random() < alpha and alive:
+            current = list(alive)
             kill = np.nonzero(rng.random(len(current)) < beta_m)[0]
-            for ki in kill:
+            for ki in kill.tolist():
                 k = current[ki]
                 del alive[k]
                 ops.append(-1)
@@ -102,21 +104,24 @@ def light_deletion_stream(
     deletion event at a uniformly random later position in the stream.
 
     Built by assigning every insertion its natural index and every deletion a
-    uniform position in ``(insert_index, n_insertions]``, then stably sorting
+    uniform position in ``[insert_index, n_insertions)``, then stably sorting
     events by position (deletions after insertions at equal position).
     """
     rng = np.random.default_rng(seed)
     n = len(edges)
-    del_mask = rng.random(n) < beta_l
-    pos = [float(i) for i in range(n)]
-    events: list[tuple[float, int, int, int, int]] = [
-        (pos[i], 0, 1, int(edges[i, 0]), int(edges[i, 1])) for i in range(n)
-    ]
-    for i in np.nonzero(del_mask)[0]:
-        p = rng.uniform(float(i), float(n))
-        events.append((p, 1, -1, int(edges[i, 0]), int(edges[i, 1])))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return _events([e[2] for e in events], [e[3] for e in events], [e[4] for e in events])
+    dels = np.nonzero(rng.random(n) < beta_l)[0]
+    del_pos = [rng.uniform(float(i), float(n)) for i in dels.tolist()]
+    # Insertions come first, then deletions in edge order, so a stable sort
+    # by position alone puts an insertion before a deletion at an equal
+    # position and keeps tied deletions in edge order.
+    pos = np.concatenate([np.arange(n, dtype=np.float64), np.asarray(del_pos, dtype=np.float64)])
+    order = np.argsort(pos, kind="stable")
+    src = np.concatenate([np.arange(n), dels])[order]
+    out = np.empty(len(order), dtype=STREAM_DTYPE)
+    out["op"] = np.where(order < n, 1, -1)
+    out["u"] = edges[src, 0]
+    out["v"] = edges[src, 1]
+    return out
 
 
 def reorder_edges(edges: np.ndarray, ordering: str, *, seed: int = 0) -> np.ndarray:
@@ -128,23 +133,26 @@ def reorder_edges(edges: np.ndarray, ordering: str, *, seed: int = 0) -> np.ndar
         return edges[rng.permutation(len(edges))]
     if ordering == "rbfs":
         adj: dict[int, list[tuple[int, int]]] = {}
-        for i, (u, v) in enumerate(edges):
-            adj.setdefault(int(u), []).append((int(v), i))
-            adj.setdefault(int(v), []).append((int(u), i))
-        visited_e = np.zeros(len(edges), dtype=bool)
+        for i, (u, v) in enumerate(edges.tolist()):
+            adj.setdefault(u, []).append((v, i))
+            adj.setdefault(v, []).append((u, i))
+        visited_e = [False] * len(edges)
         order: list[int] = []
         verts = list(adj.keys())
         seen_v: set[int] = set()
+        first_unseen = 0  # every vertex before it is seen; seen_v only grows
         while len(order) < len(edges):
             start = verts[int(rng.integers(0, len(verts)))]
             if start in seen_v:
-                start = next((x for x in verts if x not in seen_v), None)
-                if start is None:
+                while first_unseen < len(verts) and verts[first_unseen] in seen_v:
+                    first_unseen += 1
+                if first_unseen == len(verts):
                     break
-            queue = [start]
+                start = verts[first_unseen]
+            queue = deque([start])
             seen_v.add(start)
             while queue:
-                x = queue.pop(0)
+                x = queue.popleft()
                 for y, ei in adj[x]:
                     if not visited_e[ei]:
                         visited_e[ei] = True

@@ -78,6 +78,7 @@ def train_policy(
     cfg = cfg or TrainConfig()
     t0 = time.perf_counter()
     streams = _training_streams(dataset, scenario, cfg)
+    t_ddpg = time.perf_counter()
 
     def m_for(stream) -> int:
         if cfg.M > 0:
@@ -133,6 +134,7 @@ def train_policy(
         total_updates += agent.updates
         total_eps += ep
 
+    t_val_graph = time.perf_counter()
     # Validation-based selection (DESIGN.md substitutions): the paper trains
     # for hours; at our scale short DDPG runs can drift below the heuristic
     # warm start, so the final policy is the candidate — mid-training
@@ -143,6 +145,7 @@ def train_policy(
         val_edges, scenario, alpha=cfg.alpha, beta_m=cfg.beta_m,
         beta_l=cfg.beta_l, seed=cfg.seed + 997,
     )
+    t_validate = time.perf_counter()
     from ..exact.incremental import truth_trajectory
 
     _, val_truth = truth_trajectory(val_stream, pattern, 10**9)
@@ -154,8 +157,14 @@ def train_policy(
     ]
     best = int(np.argmin(scores))
     policy = LearnedPolicy(candidates[best], pattern, variant)
+    t_end = time.perf_counter()
     info = {
-        "train_time_s": time.perf_counter() - t0,
+        "train_time_s": t_end - t0,
+        # Wall time per phase: training and validation graphs plus their
+        # streams, DDPG episodes and updates, candidate validation.
+        "graphs_s": (t_ddpg - t0) + (t_validate - t_val_graph),
+        "ddpg_s": t_val_graph - t_ddpg,
+        "validate_s": t_end - t_validate,
         "episodes": total_eps,
         "updates": total_updates,
         "episode_returns": episode_returns,

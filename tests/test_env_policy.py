@@ -107,6 +107,10 @@ def test_train_policy_runs_and_returns_info():
     assert info["updates"] == 30
     assert info["train_time_s"] > 0
     assert pol.params["W"].shape == (1, 6)
+    phases = [info["graphs_s"], info["ddpg_s"], info["validate_s"]]
+    assert all(t >= 0 for t in phases)
+    # The phases tile the run, so their sum may exceed it only by rounding.
+    assert sum(phases) <= info["train_time_s"] + 1e-9
 
 
 def test_train_policy_wedge_dimensions():
