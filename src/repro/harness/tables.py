@@ -185,7 +185,8 @@ def table_training(
     train_graphs: list[str] | None = None,
     patterns: list[str] | None = None,
 ) -> pd.DataFrame:
-    """Tables IV/XI: training wall-time per (training graph, pattern)."""
+    """Tables IV/XI: training wall-time per (training graph, pattern), with
+    the number of worker processes that validated its candidates."""
     rows = []
     for g in train_graphs or ["cit-HE", "com-DB", "soc-TX", "web-SF"]:
         for pat in patterns or ["triangle", "wedge"]:
@@ -195,6 +196,7 @@ def table_training(
                     "graph": g,
                     "pattern": pat,
                     "train_time_s": info.get("train_time_s"),
+                    "workers": info.get("workers"),
                     "cached": info.get("cached", False),
                 }
             )

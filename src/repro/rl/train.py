@@ -6,19 +6,32 @@ scenario, pattern) we train on several streams generated from the category's
 test stream, for a fixed number of gradient updates (paper: 1000 iterations,
 replay 10k, batch 128, Adam lr 1e-3, γ = 0.99).
 
+The final policy is the candidate (warm start, mid-training snapshots, final
+actors) with the lowest mean relative error over seeded WSD replays of a
+held-out validation stream. Those replays are independent, so they run as one
+job per (candidate, seed) on a pool of forked worker processes, one per
+available core; each score is the mean of its candidate's errors in seed
+order, so the scores and the selection do not depend on the pool size
+(DESIGN.md §3, "Not on Spark").
+
 Trained policies are cached under ``results/policies`` keyed by
 (dataset, scenario, pattern, variant) so every table reuses them; training
-wall-time is recorded for Tables IV / XI.
+wall-time and the validation pool size are recorded for Tables IV / XI.
 """
 from __future__ import annotations
 
 import json
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
+from ..core.wsd import WSD
+from ..exact.incremental import truth_trajectory
 from ..graphs.generators import generate
 from ..graphs.streams import make_stream
 from .ddpg import DDPG
@@ -146,15 +159,12 @@ def train_policy(
         beta_l=cfg.beta_l, seed=cfg.seed + 997,
     )
     t_validate = time.perf_counter()
-    from ..exact.incremental import truth_trajectory
-
     _, val_truth = truth_trajectory(val_stream, pattern, 10**9)
     candidates = [heuristic_init_params(pattern)] if cfg.warm_start else []
     candidates += snapshots
-    scores = [
-        _validate(params, val_stream, pattern, m_for(val_stream), variant, float(val_truth[-1]))
-        for params in candidates
-    ]
+    scores, workers = _validate(
+        candidates, val_stream, pattern, m_for(val_stream), variant, float(val_truth[-1])
+    )
     best = int(np.argmin(scores))
     policy = LearnedPolicy(candidates[best], pattern, variant)
     t_end = time.perf_counter()
@@ -165,6 +175,8 @@ def train_policy(
         "graphs_s": (t_ddpg - t0) + (t_validate - t_val_graph),
         "ddpg_s": t_val_graph - t_ddpg,
         "validate_s": t_end - t_validate,
+        # Worker processes that ran the candidate validation.
+        "workers": workers,
         "episodes": total_eps,
         "updates": total_updates,
         "episode_returns": episode_returns,
@@ -174,30 +186,62 @@ def train_policy(
     return policy, info
 
 
+# Seeded WSD replays of the validation stream per candidate.
+_VAL_RUNS = 4
+# What every validation job reads, set once per worker by
+# ``_init_validation``; a forked worker inherits it without pickling.
+_val_inputs: tuple | None = None
+
+
+def _init_validation(*inputs) -> None:
+    global _val_inputs
+    _val_inputs = inputs
+
+
+def _validation_error(job: tuple[int, int]) -> float:
+    """Relative error of WSD with candidate ``c``'s actor, seeded by run
+    ``s``, over the validation stream."""
+    c, s = job
+    candidates, ops, us, vs, pattern, M, variant, target = _val_inputs
+    wfn = LearnedPolicy(candidates[c], pattern, variant).as_weight_fn()
+    smp = WSD(M, pattern, wfn, seed=5000 + s)
+    proc = smp.process
+    for o, u, v in zip(ops, us, vs):
+        proc(o, u, v)
+    return abs(smp.estimate - target) / max(1.0, abs(target))
+
+
 def _validate(
-    params: dict[str, np.ndarray],
+    candidates: list[dict[str, np.ndarray]],
     stream: np.ndarray,
     pattern: str,
     M: int,
     variant: str,
     target: float,
-    n_runs: int = 4,
-) -> float:
-    """Mean relative error of WSD with this actor over a validation stream."""
-    from ..core.wsd import WSD
+) -> tuple[list[float], int]:
+    """Mean relative error of WSD with each candidate actor over the
+    validation stream, and the number of worker processes that computed it.
 
-    wfn = LearnedPolicy(params, pattern, variant).as_weight_fn()
-    ops = stream["op"].tolist()
-    us = stream["u"].tolist()
-    vs = stream["v"].tolist()
-    errs = []
-    for s in range(n_runs):
-        smp = WSD(M, pattern, wfn, seed=5000 + s)
-        proc = smp.process
-        for o, u, v in zip(ops, us, vs):
-            proc(o, u, v)
-        errs.append(abs(smp.estimate - target) / max(1.0, abs(target)))
-    return float(np.mean(errs))
+    The (candidate, seed) replays run on a pool of forked workers, one per
+    available core at most. ``fork`` hands the stream to the workers without
+    pickling and without re-importing ``__main__``, which a caller script
+    without a main guard could not survive. The results come back in job
+    order, so every score averages its candidate's errors in seed order."""
+    jobs = [(c, s) for c in range(len(candidates)) for s in range(_VAL_RUNS)]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    inputs = (
+        candidates, stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist(),
+        pattern, M, variant, target,
+    )
+    with ProcessPoolExecutor(
+        workers, mp_context=get_context("fork"),
+        initializer=_init_validation, initargs=inputs,
+    ) as pool:
+        errs = list(pool.map(_validation_error, jobs))
+    scores = [
+        float(np.mean(errs[i:i + _VAL_RUNS])) for i in range(0, len(errs), _VAL_RUNS)
+    ]
+    return scores, workers
 
 
 def policy_path(cache_dir: str | Path, dataset: str, scenario: str, pattern: str, variant: str) -> Path:

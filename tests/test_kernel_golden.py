@@ -6,8 +6,9 @@ the six ``ALGOS_DYNAMIC`` samplers plus WSD-L with ``variant="avg"`` — both
 WSD-L variants with a fixed, untrained actor — and WSD-U on one small stream
 per (pattern, deletion scenario), and of GPS on the insertion-only stream
 (Table VI), each with a reservoir smaller than the stream and one larger than
-it. It also pins one tiny ``train_policy`` run, which goes through the RL
-environment's state construction.
+it. It also pins two tiny ``train_policy`` runs, which go through the RL
+environment's state construction and the candidate validation pool, and
+checks that they do not depend on how many workers that pool has.
 
 The values live in ``golden/kernel_trajectories.json``. To re-record them
 (only after a change that is *meant* to move estimates), run::
@@ -17,6 +18,8 @@ The values live in ``golden/kernel_trajectories.json``. To re-record them
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -24,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.core.patterns import PATTERN_EDGES
 from repro.core.runner import run_trial
 from repro.graphs.generators import generate
@@ -49,6 +53,16 @@ TRAIN = dict(
         update_every=1, warm_start=False,
     ),
 )
+# The table configs' candidate pool: a warm start and two restarts give 7
+# candidates, so 28 validation jobs, more than there are cores.
+TRAIN_TABLE = dict(
+    TRAIN,
+    cfg=TrainConfig(
+        iters=30, n_streams=1, scale=0.05, M=20, batch=16, replay=256,
+        update_every=1, warm_start=True, restarts=2,
+    ),
+)
+TRAIN_RUNS = {"train_policy": TRAIN, "train_policy_table": TRAIN_TABLE}
 
 
 def _actor(pattern: str, variant: str) -> dict:
@@ -83,14 +97,21 @@ def _trajectory(label: str, pattern: str, scenario: str, m: str) -> list[str]:
     return [float(x).hex() for x in est]
 
 
-def _train_run() -> dict[str, list[str]]:
-    policy, info = train_policy(**TRAIN)
+def _train_run(run: dict) -> tuple[dict, int]:
+    """The pinned values of one training run, and its validation workers."""
+    policy, info = train_policy(**run)
     return {
         "W": [float(x).hex() for x in policy.params["W"].ravel()],
         "b": [float(x).hex() for x in policy.params["b"].ravel()],
         "val_scores": [float(x).hex() for x in info["val_scores"]],
         "episode_returns": [float(x).hex() for x in info["episode_returns"]],
-    }
+        "selected": info["selected"],
+    }, info["workers"]
+
+
+def _pinned(got: dict, want: dict) -> dict:
+    """``got`` restricted to the keys a golden entry pins."""
+    return {k: got[k] for k in want}
 
 
 CELLS = [
@@ -117,13 +138,50 @@ def test_checkpoint_estimates_match_golden(golden, cell):
 
 
 def test_train_policy_matches_golden(golden):
-    assert _train_run() == golden["train_policy"]
+    got, _ = _train_run(TRAIN)
+    assert _pinned(got, golden["train_policy"]) == golden["train_policy"]
+
+
+def test_table_train_policy_matches_golden(golden):
+    got, workers = _train_run(TRAIN_TABLE)
+    assert got == golden["train_policy_table"]
+    assert 1 <= workers <= len(os.sched_getaffinity(0))
+
+
+# Runs in a child process pinned to one CPU, so only that process is pinned.
+_ONE_CPU = """
+import json, os, sys
+os.sched_setaffinity(0, {{{cpu}}})
+sys.path.insert(0, {tests!r})
+import test_kernel_golden as g
+print(json.dumps({{name: g._train_run(run) for name, run in g.TRAIN_RUNS.items()}}))
+"""
+
+
+def test_training_goldens_independent_of_worker_count(golden):
+    """On one CPU the validation pool has one worker; both training runs
+    still give their golden values."""
+    script = _ONE_CPU.format(
+        cpu=min(os.sched_getaffinity(0)), tests=str(Path(__file__).parent)
+    )
+    src = str(Path(repro.__file__).parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    runs = json.loads(out.stdout)
+    assert set(runs) == set(TRAIN_RUNS)
+    for name, (got, workers) in runs.items():
+        assert _pinned(got, golden[name]) == golden[name]
+        assert workers == 1
 
 
 def _record() -> None:
     out = {
         "trajectories": {_cell_id(*c): _trajectory(*c) for c in CELLS},
-        "train_policy": _train_run(),
+        **{name: _train_run(run)[0] for name, run in TRAIN_RUNS.items()},
     }
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(out, indent=1) + "\n")

@@ -1,5 +1,7 @@
 """Table-driver integration tests at tiny scale (the benches run the same
 code at bench scale)."""
+import os
+
 import pandas as pd
 import pytest
 
@@ -79,12 +81,15 @@ def test_table_training(tmp_path):
     )
     assert len(df) == 2
     assert (df["train_time_s"] > 0).all()
+    assert df["workers"].between(1, len(os.sched_getaffinity(0))).all()
     assert not df["cached"].any()
     again = table_training(
         "light", policy_dir=tmp_path, train_cfg=TRAIN,
         train_graphs=["cit-HE"], patterns=["triangle", "wedge"],
     )
     assert again["cached"].all()
+    # The cached rows report the pool size recorded beside the policy.
+    assert again["workers"].tolist() == df["workers"].tolist()
 
 
 def test_table_ablation(spark, tmp_path):
