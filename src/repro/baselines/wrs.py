@@ -54,28 +54,36 @@ class WRS:
                 # never reached the reservoir population: no RP bookkeeping
                 del waiting[key]
         # Estimate: Σ over instances of 1/P[other stored edges stored], where
-        # waiting-room edges are stored with probability 1. The random-pairing
-        # probability depends only on how many of an instance's other edges
-        # sit in the reservoir, so ``inv[j]`` — the inverse probability for
-        # ``j`` reservoir edges, its product formed in the order
-        # ``i = 0..j-1`` — is built once per event and looked up per instance.
-        inst = instances(self.pattern, adj, u, v)
-        if inst:
-            rc = rp.capacity
-            n = rp.population
-            inv = []
-            p = 1.0
-            for i in range(self.h):
-                inv.append(1.0 / max(p, 1e-300))
-                if n - i > 0:
-                    p *= min(1.0, (rc - i) / (n - i))
-            total = 0.0
-            for other_edges in inst:
-                j = 0
-                for k in other_edges:
-                    if k not in waiting:
-                        j += 1
-                total += inv[j]
+        # waiting-room edges are stored with probability 1 and ``j`` reservoir
+        # edges with the random-pairing ``rp.inclusion_prob(j)``. A wedge has
+        # one other edge, so each instance adds 1.0 or ``1 / P[1 stored]``, in
+        # one pass over the two neighbour sets with no instance list. Other
+        # patterns look up ``inv[j]``, built once per event.
+        total = None
+        if self.pattern == "wedge":
+            nu = adj.get(u, ())
+            nv = adj.get(v, ())
+            if len(nu) + len(nv) > (v in nu) + (u in nv):
+                inv1 = 1.0 / rp.inclusion_prob(1)
+                total = 0.0
+                for w in nu:
+                    if w != v:
+                        total += 1.0 if ((u, w) if u < w else (w, u)) in waiting else inv1
+                for w in nv:
+                    if w != u:
+                        total += 1.0 if ((v, w) if v < w else (w, v)) in waiting else inv1
+        else:
+            inst = instances(self.pattern, adj, u, v)
+            if inst:
+                inv = [1.0 / p for p in map(rp.inclusion_prob, range(self.h))]
+                total = 0.0
+                for other_edges in inst:
+                    j = 0
+                    for k in other_edges:
+                        if k not in waiting:
+                            j += 1
+                    total += inv[j]
+        if total is not None:
             if op > 0:
                 self.estimate += total
             else:

@@ -12,7 +12,6 @@ capacity until evicted by rank — the space-waste drawback WSD removes.
 """
 from __future__ import annotations
 
-from .patterns import instances
 from .ranks import contribution
 from .weighted import WeightedSampler
 from .weights import WeightContext
@@ -33,9 +32,9 @@ class GPS(WeightedSampler):
         res = self.res
         if key in res.records:
             return
-        inst = instances(self.pattern, res.adj, u, v)
+        inst = res.instances(self.pattern, u, v)
         if inst:
-            self.estimate += contribution(inst, res.records, self.z_star)
+            self.estimate += contribution(inst, self.z_star)
         w = self.weight_fn(WeightContext(u, v, self.t, self.pattern, inst, res))
         r = self._rank(w)
         if len(res.records) < res.capacity:
@@ -65,6 +64,6 @@ class GPSA(GPS):
         rec = res.records.get(key)
         if rec is not None and not rec.tagged:
             res.tag(key)  # leaves the zombie occupying capacity
-        inst = instances(self.pattern, res.adj, u, v)
+        inst = res.instances(self.pattern, u, v)
         if inst:
-            self.estimate -= contribution(inst, res.records, self.z_star)
+            self.estimate -= contribution(inst, self.z_star)

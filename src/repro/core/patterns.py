@@ -7,8 +7,10 @@ before enumeration on deletion — matching Algorithm 2's
 ``J ⊆ (R ∪ e_t), e_t ∈ J``).
 
 ``instances`` returns, per instance, the tuple of the *other* ``|H| - 1`` edge
-keys (canonical ``(min, max)`` vertex pairs). Supported patterns and their
-edge counts |H| (Section V-A): wedge (2), triangle (3), 4-clique (6).
+keys (canonical ``(min, max)`` vertex pairs); the weighted samplers take the
+same instances as sampled-edge records from ``Reservoir.instances``.
+Supported patterns and their edge counts |H| (Section V-A): wedge (2),
+triangle (3), 4-clique (6).
 
 ``adj_add`` / ``adj_remove`` are the one way every sampler and the exact
 counter edit such an adjacency. Set iteration order — and with it the order

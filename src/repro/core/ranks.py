@@ -30,28 +30,32 @@ def inclusion_prob(w: float, tau: float) -> float:
     return min(1.0, w / tau)
 
 
-def contribution(
-    instances: list[tuple[tuple[int, int], ...]],
-    records: dict,
-    tau: float,
-) -> float:
+def contribution(instances: list, tau: float) -> float:
     """Σ_J Π_{e'∈J\\e} 1/P[r(e') > tau] over the pattern instances ``J``
-    formed by an event, ``records`` mapping each sampled edge key to its
-    record (with ``.weight``).
+    formed by an event, as ``Reservoir.instances`` returns them: each wedge
+    instance is the other edge's record, each triangle or 4-clique instance
+    a tuple of records (all with ``.weight``).
 
     ``inclusion_prob`` is inlined (the per-event hot path): ``w / tau if
     w < tau else 1.0`` is the same IEEE value as ``min(1.0, w / tau)``, and
     the products and the sum run in the same order, so the result is
-    bit-identical to composing ``inclusion_prob``. With ``tau <= 0`` every
-    probability is 1 and each instance adds exactly 1.0.
+    bit-identical to composing ``inclusion_prob``. A wedge's product has one
+    factor ``x``, and ``1.0 * x`` is exactly ``x``, so its term is
+    ``1.0 / x``. With ``tau <= 0`` every probability is 1 and each instance
+    adds exactly 1.0.
     """
-    if tau <= 0.0:
+    if tau <= 0.0 or not instances:
         return float(len(instances))
     total = 0.0
-    for other_edges in instances:
+    if not isinstance(instances[0], tuple):  # wedges: one record each
+        for rec in instances:
+            w = rec.weight
+            total += 1.0 / (w / tau if w < tau else 1.0)
+        return total
+    for recs in instances:
         p = 1.0
-        for k in other_edges:
-            w = records[k].weight
+        for rec in recs:
+            w = rec.weight
             p *= w / tau if w < tau else 1.0
         total += 1.0 / p
     return total

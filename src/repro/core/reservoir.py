@@ -9,6 +9,10 @@ Backing structures:
   a per-insertion ``uid`` and skipped on pop), giving O(log M) insert/evict
   and O(1) membership/removal — the paper's min-priority queue of Theorem 5.
 
+``instances`` hands the weighted samplers the pattern instances an event
+forms with sampled edges as the sampled edges' records, so the estimator and
+the weight function read ``.weight`` and ``.t`` without a second lookup.
+
 GPS-A's "DEL"-tagged zombies are supported natively: ``tag`` removes the edge
 from the adjacency index (it no longer forms subgraphs) while the record keeps
 occupying reservoir capacity until evicted by rank.
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .patterns import adj_add, adj_remove
+from .patterns import adj_add, adj_remove, instances as key_instances
 
 __all__ = ["EdgeRecord", "Reservoir"]
 
@@ -97,6 +101,32 @@ class Reservoir:
         if not rec.tagged:
             adj_remove(self.adj, key)
         return key, rec
+
+    def instances(self, pattern: str, u: int, v: int) -> list:
+        """``patterns.instances(pattern, self.adj, u, v)``, in the same order,
+        with each other edge given as its record: a wedge instance is the
+        other edge's ``EdgeRecord`` itself (one ``records`` lookup, no key
+        tuple kept), a triangle or 4-clique instance the tuple of records its
+        key tuple maps to."""
+        recs = self.records
+        if pattern == "wedge":
+            # Plain loops, not comprehensions: under CPython 3.11 a
+            # comprehension is a nested function, which turns ``recs``, ``u``
+            # and ``v`` into closure cells and costs a call per comprehension.
+            out = []
+            append = out.append
+            for w in self.adj.get(u, ()):
+                if w != v:
+                    append(recs[(u, w) if u < w else (w, u)])
+            for w in self.adj.get(v, ()):
+                if w != u:
+                    append(recs[(v, w) if v < w else (w, v)])
+            return out
+        keys = key_instances(pattern, self.adj, u, v)
+        if not keys:  # most triangle events: no comprehension call
+            return keys
+        get = recs.__getitem__  # the comprehension's only free name
+        return [tuple(map(get, other)) for other in keys]
 
     def degree(self, v: int) -> int:
         return len(self.adj.get(v, ()))

@@ -37,16 +37,19 @@ def run_trial(
     ops = stream["op"].tolist()
     us = stream["u"].tolist()
     vs = stream["v"].tolist()
-    est = np.empty(len(idx), dtype=np.float64)
-    j = 0
+    est = []
     process = sampler.process
+    start = 0
     t0 = time.perf_counter()
-    for i in range(n):
-        process(ops[i], us[i], vs[i])
-        if j < len(idx) and i + 1 == idx[j]:
-            est[j] = sampler.estimate
-            j += 1
+    # One plain Python loop per checkpoint slice (the last checkpoint is the
+    # final event), reading the estimate after each.
+    for stop in idx.tolist():
+        for op, u, v in zip(ops[start:stop], us[start:stop], vs[start:stop]):
+            process(op, u, v)
+        est.append(sampler.estimate)
+        start = stop
     elapsed = time.perf_counter() - t0
+    est = np.array(est, dtype=np.float64)
     return {"ckpt_idx": idx, "est": est, "final": float(est[-1]), "time_s": elapsed}
 
 

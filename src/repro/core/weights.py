@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .reservoir import Reservoir
+from .reservoir import EdgeRecord, Reservoir
 from .patterns import PATTERN_EDGES
 
 __all__ = [
@@ -31,11 +31,16 @@ __all__ = [
 
 
 class WeightContext(NamedTuple):
+    """What a weight function sees of an insertion of ``(u, v)`` at time
+    ``t``. ``instances`` is ``Reservoir.instances``' list: per instance the
+    other edges' records, the record itself for a wedge and a tuple of
+    records for a triangle or 4-clique."""
+
     u: int
     v: int
     t: int  # current (1-based) event time t_k
     pattern: str
-    instances: list[tuple[tuple[int, int], ...]]  # other-edge keys per instance
+    instances: list[EdgeRecord] | list[tuple[EdgeRecord, ...]]
     reservoir: Reservoir
 
 
@@ -59,27 +64,27 @@ def build_state(ctx: WeightContext, variant: str = "max") -> np.ndarray:
     normalisation; see DESIGN.md substitutions).
     """
     inst = ctx.instances
-    res = ctx.reservoir
-    head = [len(inst), res.degree(ctx.u), res.degree(ctx.v)]
+    adj = ctx.reservoir.adj  # degrees read as ``Reservoir.degree`` does
+    state = [len(inst), len(adj.get(ctx.u, ())), len(adj.get(ctx.v, ()))]
     if not inst:
-        return np.array(head + [0.0] * PATTERN_EDGES[ctx.pattern], dtype=np.float64)
+        return np.array(state + [0.0] * PATTERN_EDGES[ctx.pattern], dtype=np.float64)
     # Plain Python, not numpy: this runs once per insertion over a few values,
     # where numpy's per-call overhead dominates. Arrival times are ints, so
     # column maxima and sums are exact and the divisions are the same IEEE
     # operations as an element-wise float64 reduction.
-    recs = res.records
     t = max(1, ctx.t)
-    if len(inst[0]) == 1:  # wedge: one other edge, nothing to sort
-        cols = [[recs[k].t for (k,) in inst]]
+    if ctx.pattern == "wedge":  # one other edge per instance: one column
+        ts = [rec.t for rec in inst]
+        state.append(sum(ts) / len(inst) / t if variant == "avg" else max(ts) / t)
     else:
-        cols = zip(*[sorted([recs[k].t for k in other]) for other in inst])
-    if variant == "avg":
-        n = len(inst)
-        temporal = [sum(c) / n / t for c in cols]
-    else:
-        temporal = [max(c) / t for c in cols]
-    temporal.append(ctx.t / t)  # e itself is always the latest edge of J
-    return np.array(head + temporal, dtype=np.float64)
+        cols = zip(*[sorted([rec.t for rec in other]) for other in inst])
+        if variant == "avg":
+            n = len(inst)
+            state += [sum(c) / n / t for c in cols]
+        else:
+            state += [max(c) / t for c in cols]
+    state.append(ctx.t / t)  # e itself is always the latest edge of J
+    return np.array(state, dtype=np.float64)
 
 
 def make_learned_weight(

@@ -18,7 +18,6 @@ by ``e`` with currently sampled edges.
 """
 from __future__ import annotations
 
-from .patterns import instances
 from .ranks import contribution
 from .weighted import WeightedSampler
 from .weights import WeightContext
@@ -49,15 +48,16 @@ class WSD(WeightedSampler):
     def begin_insert(self, u: int, v: int) -> list | None:
         """Phase 1 of an insertion (estimator update, Algorithm 2 lines 4–7):
         returns the pattern instances formed by ``(u, v)`` with sampled
-        edges, or None for an infeasible duplicate. Split out so the RL
-        environment can observe the state and choose the weight before
-        ``finish_insert`` commits the sampling decision."""
+        edges, as ``Reservoir.instances`` records, or None for an infeasible
+        duplicate. Split out so the RL environment can observe the state and
+        choose the weight before ``finish_insert`` commits the sampling
+        decision."""
         res = self.res
         if ((u, v) if u < v else (v, u)) in res.records:
             return None  # infeasible event; defensive no-op
-        inst = instances(self.pattern, res.adj, u, v)
+        inst = res.instances(self.pattern, u, v)
         if inst:
-            self.estimate += contribution(inst, res.records, self.tau_q)
+            self.estimate += contribution(inst, self.tau_q)
         return inst
 
     def finish_insert(self, u: int, v: int, inst: list, w: float) -> None:
@@ -84,6 +84,6 @@ class WSD(WeightedSampler):
         res = self.res
         if key in res.records:  # Case 3: drop outright (the fix over GPS-A)
             res.remove(key)
-        inst = instances(self.pattern, res.adj, u, v)
+        inst = res.instances(self.pattern, u, v)
         if inst:
-            self.estimate -= contribution(inst, res.records, self.tau_q)
+            self.estimate -= contribution(inst, self.tau_q)

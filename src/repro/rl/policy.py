@@ -9,6 +9,7 @@ Policies serialise to ``.npz`` so benches can cache trained models under
 """
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,19 @@ __all__ = ["LearnedPolicy", "actor_weight", "heuristic_init_params"]
 
 
 def actor_weight(params: dict[str, np.ndarray], state: np.ndarray) -> float:
-    """The actor of Eq. 27, ``ReLU(W s + b) + 1``, for one state. ``W @ s``
-    stays a numpy dot (a Python sum may round differently)."""
-    z = float((params["W"] @ state)[0] + params["b"][0])
+    """The actor of Eq. 27, ``ReLU(W s + b) + 1``, for one state."""
+    return _actor(params["W"][0], float(params["b"][0]), state)
+
+
+def _actor(w: np.ndarray, b: float, state: np.ndarray) -> float:
+    """``ReLU(w · s + b) + 1`` for the actor's single output row ``w``.
+
+    ``w.dot(state)`` is the same numpy/BLAS dot product as the (1, d) matmul
+    ``(W @ state)[0]``, without the matmul's array result (a Python sum may
+    round differently, so the dot stays in numpy); adding the bias as a
+    Python float is the same IEEE addition as adding ``b[0]`` in numpy.
+    ``tests/test_env_policy.py`` pins these bits against ``W @ s``."""
+    z = float(w.dot(state)) + b
     return max(z, 0.0) + 1.0
 
 
@@ -52,7 +63,11 @@ class LearnedPolicy:
         return actor_weight(self.params, state)
 
     def as_weight_fn(self):
-        return make_learned_weight(self, self.variant)
+        """The WSD-L weight function, with the actor row and bias bound once
+        (the parameters must not change while it is in use, as its memo
+        already assumes)."""
+        W, b = self.params["W"], self.params["b"]
+        return make_learned_weight(partial(_actor, W[0], float(b[0])), self.variant)
 
     # -- persistence -------------------------------------------------------
     def save(self, path: str | Path) -> None:

@@ -7,7 +7,7 @@ from repro.core.wsd import WSD
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
 from repro.rl.env import WSDEnv
-from repro.rl.policy import LearnedPolicy, heuristic_init_params
+from repro.rl.policy import LearnedPolicy, actor_weight, heuristic_init_params
 from repro.rl.train import TrainConfig, get_or_train_policy, train_policy
 
 
@@ -125,3 +125,27 @@ def test_get_or_train_policy_caches(tmp_path):
     assert i2["cached"]
     np.testing.assert_array_equal(p1.params["W"], p2.params["W"])
     assert i2["train_time_s"] is not None
+
+
+@pytest.mark.parametrize("d", [5, 6, 9])
+def test_actor_weight_bits_match_matmul_reference(d):
+    """``actor_weight`` takes the 1-D dot ``W[0].dot(s)`` and adds the bias
+    as a Python float. It must equal the (1, d) matmul form
+    ``max(float((W @ s)[0] + b[0]), 0.0) + 1.0`` as ``float.hex`` on every
+    state: states of width 5, 6 and 9 (wedge, triangle, 4-clique) built as
+    ``build_state`` builds them, integer head features up to 5,000, weights
+    scaled 1e-2 to 1e2 with mixed signs."""
+    rng = np.random.default_rng(100 + d)
+    n_params, per = 1000, 100
+    heads = rng.integers(0, 5001, size=(n_params * per, 3)).tolist()
+    temporal = rng.random((n_params * per, d - 3)).tolist()
+    mismatches = 0
+    for i in range(n_params):
+        W = rng.standard_normal((1, d)) * 10.0 ** rng.uniform(-2, 2, (1, d))
+        b = rng.standard_normal(1) * 10.0 ** rng.uniform(-2, 2)
+        params = {"W": W, "b": b}
+        for j in range(i * per, (i + 1) * per):
+            s = np.array(heads[j] + temporal[j], dtype=np.float64)
+            want = max(float((W @ s)[0] + b[0]), 0.0) + 1.0
+            mismatches += actor_weight(params, s).hex() != want.hex()
+    assert mismatches == 0

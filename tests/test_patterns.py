@@ -4,7 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.core.gps import GPSA
 from repro.core.patterns import PATTERN_EDGES, count_instances, edge_key, instances
+from repro.core.reservoir import Reservoir
+from repro.core.weights import uniform_weight
 
 PATTERNS = sorted(PATTERN_EDGES)
 
@@ -133,3 +136,55 @@ def test_count_matches_enumeration_every_focal_pair(pattern, density):
                 continue
             for a, b in ((u, v), (v, u)):
                 assert count_instances(pattern, adj, a, b) == len(instances(pattern, adj, a, b))
+
+
+def _check_record_instances(res, pattern, n):
+    """For every focal pair on ``n`` vertices, both orientations,
+    ``res.instances`` is ``patterns.instances``' key tuples mapped through
+    ``res.records``, in the same order: a wedge instance the other edge's
+    record itself, any other a tuple of records. Returns how many instances
+    were compared."""
+    seen = 0
+    for u, v in combinations(range(n), 2):
+        for a, b in ((u, v), (v, u)):
+            keys = instances(pattern, res.adj, a, b)
+            got = res.instances(pattern, a, b)
+            assert len(got) == len(keys)
+            for inst, other in zip(got, keys):
+                recs = (inst,) if pattern == "wedge" else inst
+                assert isinstance(recs, tuple) and len(recs) == len(other)
+                for rec, k in zip(recs, other):
+                    assert rec is res.records[k] and not rec.tagged
+            seen += len(keys)
+    return seen
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.6])
+def test_record_instances_map_key_instances_every_focal_pair(pattern, density):
+    rng = np.random.default_rng(int(density * 100) + 1)
+    seen = 0
+    for _ in range(4):
+        _, edges = _random_adj(12, density, rng)
+        edges = sorted(edges)
+        res = Reservoir(100)
+        for t, i in enumerate(rng.permutation(len(edges)).tolist(), start=1):
+            res.add(edges[i], float(t), float(t), t)
+        seen += _check_record_instances(res, pattern, 12)
+    if pattern != "4clique" or density > 0.1:
+        assert seen
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_record_instances_skip_gpsa_zombies(pattern):
+    """In a GPS-A reservoir, DEL-tagged zombies keep their records but leave
+    the adjacency, so no instance carries one."""
+    rng = np.random.default_rng(5)
+    pairs = list(combinations(range(9), 2))
+    s = GPSA(40, pattern, uniform_weight, seed=3)
+    for i in rng.permutation(len(pairs)).tolist():
+        s.process(1, *pairs[i])
+    for i in rng.choice(len(pairs), 8, replace=False).tolist():
+        s.process(-1, *pairs[i])
+    assert any(rec.tagged for rec in s.res.records.values())
+    assert _check_record_instances(s.res, pattern, 9)

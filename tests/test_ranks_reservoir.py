@@ -48,7 +48,9 @@ def _contribution_reference(instances, records, tau):
 
 def test_contribution_bit_identical_to_inclusion_prob_reference():
     """The inlined probability must give the same IEEE result, including
-    weights equal to, just below and just above the threshold."""
+    weights equal to, just below and just above the threshold. Instances are
+    passed as records, the form ``Reservoir.instances`` returns: one record
+    per instance at arity 1 (wedges), a tuple of records otherwise."""
     rng = np.random.default_rng(9)
     for trial in range(300):
         tau = [0.0, 1.0, float(rng.uniform(0.5, 50.0))][trial % 3]
@@ -64,7 +66,11 @@ def test_contribution_bit_identical_to_inclusion_prob_reference():
             tuple(keys[j] for j in rng.choice(len(keys), arity, replace=False))
             for _ in range(int(rng.integers(0, 8)))
         ]
-        got = contribution(instances, records, tau)
+        if arity == 1:
+            recs = [records[k] for (k,) in instances]
+        else:
+            recs = [tuple(records[k] for k in other) for other in instances]
+        got = contribution(recs, tau)
         assert got.hex() == _contribution_reference(instances, records, tau).hex()
 
 

@@ -22,6 +22,14 @@ def _reservoir_with(edges_with_t):
 
 
 def _ctx(pattern, inst, res, u=0, v=1, t=10):
+    """A context whose instances are the sampled records of the other-edge
+    key tuples ``inst``, in ``Reservoir.instances``' form: a wedge instance
+    is its one record, any other a tuple of records."""
+    recs = res.records
+    if pattern == "wedge":
+        inst = [recs[k] for (k,) in inst]
+    else:
+        inst = [tuple(recs[k] for k in other) for other in inst]
     return WeightContext(u, v, t, pattern, inst, res)
 
 
