@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..draws import Draws
+
 __all__ = ["RandomPairing"]
 
 
@@ -25,7 +27,7 @@ class RandomPairing:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.rng = np.random.default_rng(seed)
+        self._draws = Draws(np.random.default_rng(seed))
         self._keys: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
         self.d1 = 0  # uncompensated deletions of sampled items
@@ -60,7 +62,7 @@ class RandomPairing:
         self.n_alive += 1
         d = self.d1 + self.d2
         if d > 0:  # compensation phase
-            if self.rng.random() * d < self.d1:
+            if self._draws.random() * d < self.d1:
                 self.d1 -= 1
                 self._add(key)
                 return "add", None
@@ -69,8 +71,9 @@ class RandomPairing:
         if len(self._keys) < self.capacity:
             self._add(key)
             return "add", None
-        if self.rng.random() * self.n_alive < self.capacity:
-            evicted = self._keys[int(self.rng.integers(0, len(self._keys)))]
+        draws = self._draws
+        if draws.random() * self.n_alive < self.capacity:
+            evicted = self._keys[draws.integers(len(self._keys))]
             self._remove(evicted)
             self._add(key)
             return "replace", evicted

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .ranks import contribution
 from .weighted import WeightedSampler
-from .weights import WeightContext
+from .weights import WeightContext, new_context
 
 __all__ = ["GPS", "GPSA"]
 
@@ -35,7 +35,7 @@ class GPS(WeightedSampler):
         inst = res.instances(self.pattern, u, v)
         if inst:
             self.estimate += contribution(inst, self.z_star)
-        w = self.weight_fn(WeightContext(u, v, self.t, self.pattern, inst, res))
+        w = self.weight_fn(new_context(WeightContext, (u, v, self.t, self.pattern, inst, res)))
         r = self._rank(w)
         if len(res.records) < res.capacity:
             res.add(key, w, r, self.t)

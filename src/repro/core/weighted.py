@@ -2,12 +2,11 @@
 (``core.gps``): constructor, rank-keyed reservoir, event dispatch, and the
 rank draw.
 
-Ranks are ``w / (1.0 - u)`` with ``u`` taken from a private list of uniforms
-refilled ``BLOCK`` at a time by ``self.rng.random(BLOCK)``. PCG64 yields the
-same doubles, in the same order, in a block as in successive scalar
-``random()`` calls, and these samplers draw nothing else from ``self.rng``,
-so every rank is bit-identical to ``ranks.rank(w, self.rng)``, without a
-scalar generator call per insertion.
+Ranks are ``w / (1.0 - u)`` with ``u`` replayed from ``self.rng``'s raw
+blocks by ``draws.Draws``: the same doubles, in the same order, as
+successive scalar ``random()`` calls. These samplers draw nothing else from
+``self.rng``, so every rank is bit-identical to ``ranks.rank(w, self.rng)``,
+without a scalar generator call per insertion.
 """
 from __future__ import annotations
 
@@ -15,12 +14,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..draws import Draws
 from .reservoir import Reservoir
 from .weights import WeightContext
 
 __all__ = ["WeightedSampler"]
-
-BLOCK = 512  # uniforms drawn per refill
 
 
 class WeightedSampler:
@@ -37,10 +35,10 @@ class WeightedSampler:
         self.pattern = pattern
         self.weight_fn = weight_fn
         self.rng = np.random.default_rng(seed)
+        self._random = Draws(self.rng).random
         self.res = Reservoir(M)
         self.estimate = 0.0
         self.t = 0
-        self._uniforms: list[float] = []  # next draw last
 
     def process(self, op: int, u: int, v: int) -> None:
         self.t += 1
@@ -50,11 +48,7 @@ class WeightedSampler:
             self._delete(u, v)
 
     def _rank(self, w: float) -> float:
-        """``ranks.rank(w, self.rng)``, with ``u`` from the pre-drawn block."""
+        """``ranks.rank(w, self.rng)``, with ``u`` from the replayed block."""
         if w <= 0:
             raise ValueError(f"edge weight must be positive, got {w}")
-        us = self._uniforms
-        if not us:
-            us = self._uniforms = self.rng.random(BLOCK).tolist()
-            us.reverse()
-        return w / (1.0 - us.pop())
+        return w / (1.0 - self._random())

@@ -23,6 +23,7 @@ from .patterns import PATTERN_EDGES
 
 __all__ = [
     "WeightContext",
+    "new_context",
     "uniform_weight",
     "heuristic_weight",
     "build_state",
@@ -42,6 +43,12 @@ class WeightContext(NamedTuple):
     pattern: str
     instances: list[EdgeRecord] | list[tuple[EdgeRecord, ...]]
     reservoir: Reservoir
+
+
+# ``new_context(WeightContext, (u, v, t, pattern, instances, reservoir))``
+# builds the tuple ``WeightContext(...)`` builds, without the NamedTuple's
+# generated Python-level ``__new__``: the per-insertion call sites use it.
+new_context = tuple.__new__
 
 
 def uniform_weight(ctx: WeightContext) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .ranks import contribution
 from .weighted import WeightedSampler
-from .weights import WeightContext
+from .weights import WeightContext, new_context
 
 __all__ = ["WSD"]
 
@@ -41,7 +41,7 @@ class WSD(WeightedSampler):
         if inst is None:
             return
         w = self.weight_fn(
-            WeightContext(u, v, self.t, self.pattern, inst, self.res)
+            new_context(WeightContext, (u, v, self.t, self.pattern, inst, self.res))
         )
         self.finish_insert(u, v, inst, w)
 

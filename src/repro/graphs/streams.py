@@ -23,6 +23,8 @@ from collections import deque
 
 import numpy as np
 
+from ..draws import Draws
+
 STREAM_DTYPE = np.dtype([("op", np.int8), ("u", np.int64), ("v", np.int64)])
 
 __all__ = [
@@ -71,29 +73,37 @@ def massive_deletion_stream(
     unlucky deletion at the stream end would zero out the final count and
     make relative error meaningless, so we enforce the rebuild window
     explicitly (see DESIGN.md substitutions)."""
-    rng = np.random.default_rng(seed)
+    draws = Draws(np.random.default_rng(seed))
     ops: list[int] = []
     us: list[int] = []
     vs: list[int] = []
+    if not len(edges):
+        return _events(ops, us, vs)
     del_until = last_del_frac * len(edges)
-    alive: dict[tuple[int, int], None] = {}  # insertion-ordered set
-    for i, (u, v) in enumerate(edges.tolist()):
-        key = (u, v)
+    src_u, src_v = edges[:, 0].tolist(), edges[:, 1].tolist()
+    # Each ordered pair is keyed by one int, not a tuple, and mapped to the
+    # index of its insertion: the loop allocates no container per edge, so
+    # the garbage collector has nothing to count.
+    lo = int(edges.min())
+    stride = int(edges.max()) - lo + 1
+    alive: dict[int, int] = {}  # insertion-ordered
+    for i, (u, v) in enumerate(zip(src_u, src_v)):
+        key = (u - lo) * stride + (v - lo)
         if key in alive:
             continue
-        alive[key] = None
+        alive[key] = i
         ops.append(1)
         us.append(u)
         vs.append(v)
-        if i < del_until and rng.random() < alpha and alive:
-            current = list(alive)
-            kill = np.nonzero(rng.random(len(current)) < beta_m)[0]
+        if i < del_until and draws.random() < alpha and alive:
+            keys, idx = list(alive), list(alive.values())
+            kill = np.nonzero(draws.doubles(len(keys)) < beta_m)[0]
             for ki in kill.tolist():
-                k = current[ki]
-                del alive[k]
+                del alive[keys[ki]]
+                j = idx[ki]
                 ops.append(-1)
-                us.append(k[0])
-                vs.append(k[1])
+                us.append(src_u[j])
+                vs.append(src_v[j])
     return _events(ops, us, vs)
 
 
@@ -110,11 +120,12 @@ def light_deletion_stream(
     rng = np.random.default_rng(seed)
     n = len(edges)
     dels = np.nonzero(rng.random(n) < beta_l)[0]
-    del_pos = [rng.uniform(float(i), float(n)) for i in dels.tolist()]
+    # One vector call draws what a scalar uniform(i, n) per deletion does.
+    del_pos = rng.uniform(dels.astype(np.float64), float(n))
     # Insertions come first, then deletions in edge order, so a stable sort
     # by position alone puts an insertion before a deletion at an equal
     # position and keeps tied deletions in edge order.
-    pos = np.concatenate([np.arange(n, dtype=np.float64), np.asarray(del_pos, dtype=np.float64)])
+    pos = np.concatenate([np.arange(n, dtype=np.float64), del_pos])
     order = np.argsort(pos, kind="stable")
     src = np.concatenate([np.arange(n), dels])[order]
     out = np.empty(len(order), dtype=STREAM_DTYPE)

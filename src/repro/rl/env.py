@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.weights import WeightContext, build_state
+from ..core.weights import WeightContext, build_state, new_context
 from ..core.wsd import WSD
 from ..exact.incremental import ExactCounter
 
@@ -77,7 +77,9 @@ class WSDEnv:
                 self.i += 1
                 continue
             self._pending = (u, v, inst)
-            ctx = WeightContext(u, v, self.sampler.t, self.pattern, inst, self.sampler.res)
+            ctx = new_context(
+                WeightContext, (u, v, self.sampler.t, self.pattern, inst, self.sampler.res)
+            )
             return build_state(ctx, self.variant)
         self._pending = None
         return None

@@ -1,14 +1,25 @@
-"""The three generator facts the stream-construction hot paths rest on.
+"""The generator facts the stream-construction and sampling hot paths rest
+on.
 
 ``social_graph`` and ``interleave`` replace numpy convenience calls with
-cheaper ones that must consume the generator identically. Each test draws
-from two generators with the same seed, one per form, and checks both the
-values and the generator state afterwards, so a later draw cannot drift.
+cheaper ones that must consume the generator identically; the first tests
+draw from two generators with the same seed, one per form, and check both
+the values and the generator state afterwards, so a later draw cannot drift.
+``draws.Draws`` replays scalar draws from raw PCG64 blocks; its tests check
+every value against a same-seed ``Generator`` making the same calls. The
+last tests check ``social_graph``'s integer preferential-attachment search
+against its float fallback.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+
+from repro.draws import Draws
+from repro.graphs import generators
+from tests.test_stream_golden import GOLDEN, GRAPHS, _digest, _graph_id
 
 SEEDS = range(6)
 # Bounds on both sides of the 32-bit draw path, including 2**31 and beyond.
@@ -66,3 +77,86 @@ def test_vector_integers_equal_scalar_calls(seed, k):
     assert _same_state(a, b)
     # The generator continues identically with a different kind of draw.
     assert a.random() == b.random()
+
+
+# Bounds of the replayed 32-bit path: 3 * 2**30 rejects a quarter of draws.
+BOUNDS_32 = [1, 2, 3, 7, 1000, 3 * 2**30, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_replay_mixed_sequence_equals_generator(seed):
+    """Interleaved ``random()``, ``integers(0, n)``, ``uniform`` and
+    ``random(k)`` runs, across many block refills and half-buffered
+    32-bit draws."""
+    data = np.random.default_rng(400 + seed)
+    a, d = np.random.default_rng(seed), Draws(np.random.default_rng(seed))
+    for op in data.integers(0, 4, size=6000).tolist():
+        if op == 0:
+            assert d.random() == a.random()
+        elif op == 1:
+            n = BOUNDS_32[int(data.integers(0, len(BOUNDS_32)))]
+            assert d.integers(n) == int(a.integers(0, n))
+        elif op == 2:
+            lo = float(data.integers(0, 5000))
+            hi = lo + float(data.integers(1, 5000))
+            assert lo + (hi - lo) * d.random() == a.uniform(lo, hi)
+        else:
+            k = int(data.integers(0, 1200))  # some runs cross a refill
+            assert d.doubles(k).tolist() == a.random(k).tolist()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", BOUNDS_32)
+def test_replay_bound_equals_generator(seed, n):
+    """One bound at a time, with an odd ``random()`` between some draws so
+    the buffered high half is kept across it."""
+    a, d = np.random.default_rng(seed), Draws(np.random.default_rng(seed))
+    for i in range(1500):
+        assert d.integers(n) == int(a.integers(0, n))
+        if i % 3 == 0:
+            assert d.random() == a.random()
+
+
+def test_replay_rejects_bounds_outside_32_bits():
+    d = Draws(np.random.default_rng(0))
+    for n in (2**32 + 1, 2**40, 0, -3):
+        with pytest.raises(ValueError):
+            d.integers(n)
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    calls = [0]
+    fn = getattr(generators, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(generators, name, counted)
+    return calls
+
+
+def _social(graphs):
+    return [g for g in graphs if generators.DATASETS[g[0]]["kind"] == "social"]
+
+
+def test_forced_float_fallback_gives_every_digest(monkeypatch):
+    """With a margin no uniform clears, every preferential-attachment draw
+    takes the float ``choice`` path, and every graph keeps its digest."""
+    golden = json.loads(GOLDEN.read_text())["graphs"]
+    monkeypatch.setattr(generators, "_PA_MARGIN", 1.0)
+    draws = _count_calls(monkeypatch, "_attach")
+    floats = _count_calls(monkeypatch, "_attach_float")
+    for graph in GRAPHS:
+        got = generators.generate(graph[0], scale=graph[1], seed_offset=graph[2])
+        assert _digest(got) == golden[_graph_id(*graph)]
+    assert draws[0] > 0 and floats[0] == draws[0]
+
+
+def test_integer_search_is_the_usual_path(monkeypatch):
+    draws = _count_calls(monkeypatch, "_attach")
+    floats = _count_calls(monkeypatch, "_attach_float")
+    for name, scale, offset in _social(GRAPHS):
+        generators.generate(name, scale=scale, seed_offset=offset)
+    assert draws[0] > 10_000
+    assert floats[0] <= draws[0] // 1000

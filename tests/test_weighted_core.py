@@ -1,11 +1,11 @@
-"""The weighted-sampler core: ranks drawn from pre-drawn uniform blocks must
+"""The weighted-sampler core: ranks drawn from replayed raw blocks must
 be bit-identical to scalar ``ranks.rank(w, default_rng(seed))`` draws, across
 block refills, for WSD, GPS/GPS-A and the RL environment's
 ``WSDEnv.finish_insert``."""
 import numpy as np
 import pytest
 
-from repro.core import weighted
+from repro import draws
 from repro.core.gps import GPS, GPSA
 from repro.core.ranks import rank
 from repro.core.weights import heuristic_weight
@@ -36,7 +36,7 @@ class ScalarGPSA(GPSA):
 def _stream(scenario: str) -> np.ndarray:
     stream = make_stream(generate("soc-TW", scale=0.08), scenario, beta_l=0.2, seed=3)
     # Every insertion draws one rank: more than two refills must happen.
-    assert int((stream["op"] > 0).sum()) > 2 * weighted.BLOCK + 1
+    assert int((stream["op"] > 0).sum()) > 2 * draws.BLOCK + 1
     return stream
 
 
@@ -95,7 +95,7 @@ def _episode(monkeypatch, sampler_cls, stream) -> tuple:
         s, r, _ = env.step(1.0 + (k % 7) * 0.5)
         trace.append(r)
         k += 1
-    assert k > 2 * weighted.BLOCK + 1
+    assert k > 2 * draws.BLOCK + 1
     return trace, _state(env.sampler)
 
 

@@ -9,6 +9,7 @@ from repro.core.weights import (
     build_state,
     heuristic_weight,
     make_learned_weight,
+    new_context,
     uniform_weight,
 )
 from repro.rl.policy import actor_weight
@@ -31,6 +32,19 @@ def _ctx(pattern, inst, res, u=0, v=1, t=10):
     else:
         inst = [tuple(recs[k] for k in other) for other in inst]
     return WeightContext(u, v, t, pattern, inst, res)
+
+
+def test_new_context_equals_keyword_constructor():
+    """The hot paths' ``new_context`` builds what the constructor builds."""
+    res = _reservoir_with([((0, 2), 1), ((1, 2), 2)])
+    inst = [res.records[(0, 2)]]
+    fields = (0, 1, 3, "wedge", inst, res)
+    got = new_context(WeightContext, fields)
+    want = WeightContext(u=0, v=1, t=3, pattern="wedge", instances=inst, reservoir=res)
+    assert type(got) is WeightContext
+    assert got == want
+    assert got._asdict() == want._asdict()
+    assert got.instances is inst and got.reservoir is res
 
 
 def test_uniform_weight():
