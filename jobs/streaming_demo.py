@@ -2,30 +2,30 @@
 """spark-submit demo: WSD over a fully dynamic edge stream ingested through
 Structured Streaming (file-source windows + stateful foreachBatch sampler),
 printing per-window estimate vs exact count."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import config_from, get_spark, make_parser
+import argparse
 
 import numpy as np
+from pyspark.sql import SparkSession
 
 from repro.core.weights import heuristic_weight
 from repro.core.wsd import WSD
 from repro.exact.incremental import truth_trajectory
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
+from repro.harness.config import BENCH
 from repro.streaming.windowed import run_streaming_estimate
 
 
 def main() -> None:
-    ap = make_parser(__doc__)
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--scale", type=float, default=BENCH.scale)
+    ap.add_argument("--m-ratio", type=float, default=BENCH.m_ratio)
     ap.add_argument("--dataset", default="cit-PT")
     ap.add_argument("--pattern", default="triangle")
     ap.add_argument("--windows", type=int, default=20)
     args = ap.parse_args()
-    cfg = config_from(args)
-    spark = get_spark("streaming-demo")
+    cfg = BENCH.with_(scale=args.scale, m_ratio=args.m_ratio)
+    spark = SparkSession.builder.appName("streaming-demo").getOrCreate()
 
     edges = generate(args.dataset, scale=cfg.scale)
     stream = make_stream(edges, "light", beta_l=cfg.beta_l, seed=cfg.stream_seed)

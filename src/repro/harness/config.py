@@ -1,5 +1,6 @@
 """Experiment configuration — the reduced-scale analogue of the paper's
-default parameters (Section V-A), shared by tests, benches and jobs.
+default parameters (Section V-A), shared by tests, perfbench and the
+paper-table command (``harness/tables.py``).
 
 Paper defaults: M = 200,000 (1.2–6.7% of |E|), α = 3,000,000⁻¹, β_m = 0.8,
 β_l = 0.2, 100 sampling repetitions. Scaled defaults keep the sampling
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["ExpConfig", "BENCH", "TEST"]
+from ..rl.train import TrainConfig
+
+__all__ = ["ExpConfig", "BENCH", "BENCH_TRAIN", "TEST"]
 
 
 @dataclass(frozen=True)
@@ -39,3 +42,5 @@ class ExpConfig:
 
 BENCH = ExpConfig()
 TEST = ExpConfig(scale=0.08, n_runs=3, n_ckpt=10)
+# WSD-L training for the paper tables (paper: 1000 iterations on 10 streams)
+BENCH_TRAIN = TrainConfig(iters=1000, n_streams=3, scale=0.25, restarts=2)

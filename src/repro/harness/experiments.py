@@ -1,14 +1,12 @@
-#!/usr/bin/env python
-"""Assemble EXPERIMENTS.md from the artifacts in ``results/`` plus the
-paper's published numbers, so paper-vs-measured can be diffed table by
-table. Re-run after ``pytest benchmarks/ --benchmark-only`` to refresh."""
+"""EXPERIMENTS.md: the paper's published numbers beside the measured
+artifacts in ``results/``, so paper-vs-measured can be diffed table by
+table. ``python -m repro.harness.tables`` rebuilds it after every run; the
+section headings are the table registry's titles."""
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-RESULTS = ROOT / "results"
+__all__ = ["build_experiments", "write_experiments"]
 
 # ---------------------------------------------------------------------------
 # The paper's numbers (ICDE 2023, Tables I–XIII), transcribed from the text.
@@ -130,27 +128,11 @@ Paper Table XIII (ablation, ARE% of triangles):
 | light | web-GL | **0.063** | 0.045 | 0.069 |""",
 }
 
-TITLES = {
-    "table01": "Table I — dataset statistics",
-    "table02": "Table II — wedges, massive deletion",
-    "table03": "Table III — triangles, massive deletion",
-    "table04": "Table IV — training time, massive",
-    "table05": "Table V — transferability, massive",
-    "table06": "Table VI — insertion-only (triangles, cit-PT)",
-    "table07": "Table VII — 4-cliques, massive deletion",
-    "table08": "Table VIII — wedges, light deletion",
-    "table09": "Table IX — triangles, light deletion",
-    "table10": "Table X — 4-cliques, light deletion",
-    "table11": "Table XI — training time, light",
-    "table12": "Table XII — transferability, light",
-    "table13": "Table XIII — ablation Max vs Avg",
-}
-
 HEADER = """\
 # EXPERIMENTS — paper numbers vs measured
 
-Generated by ``python jobs/build_experiments.py`` from ``results/`` (which
-``pytest benchmarks/ --benchmark-only`` regenerates). All measured numbers
+Generated by ``python -m repro.harness.tables`` from ``results/``, which the
+same command regenerates first. All measured numbers
 are means over 12 sampling repetitions at the reduced scale documented in
 DESIGN.md §4 (graphs ~5–25k edges, M = 5% of |E| — 15% for 4-cliques — α=3e-4,
 β_m=0.5, β_l=0.2); the paper uses 100 repetitions on graphs of 2.99M–265M
@@ -166,45 +148,6 @@ absolute values incomparable; orderings are).
 
 ---
 """
-
-
-def _read(name: str) -> str | None:
-    p = RESULTS / f"{name}.md"
-    if not p.exists():
-        return None
-    text = p.read_text().strip()
-    if text.startswith("# "):  # demote artifact H1 titles inside sections
-        first, _, rest = text.partition("\n")
-        text = f"**{first[2:]}**\n{rest}"
-    return text
-
-
-def main() -> None:
-    parts = [HEADER]
-    for key in sorted(TITLES):
-        parts.append(f"\n## {TITLES[key]}\n")
-        paper = PAPER.get(key)
-        if paper:
-            parts.append(paper + "\n")
-        ours = []
-        for suffix in ("", "_are", "_mare", "_time_s", "_tidy"):
-            if suffix == "_tidy" and ours:
-                break  # prefer pivots; tidy only as fallback
-            t = _read(f"{key}{suffix}")
-            if t:
-                ours.append(t)
-        if ours:
-            parts.append("\nMeasured:\n\n" + "\n\n".join(ours) + "\n")
-        else:
-            parts.append("\n*(no measured artifact found — run the benches)*\n")
-        note = NOTES.get(key)
-        if note:
-            parts.append(f"\n**Shape check.** {note}\n")
-    out = ROOT / "EXPERIMENTS.md"
-    text = "".join(parts).replace("%%SUMMARY%%", SUMMARY.strip())
-    out.write_text(text)
-    print(f"wrote {out} ({len(text)} bytes)")
-
 
 SUMMARY = """\
 Reproduced (✓) / partially (≈) / not reproduced (✗) at reduced scale:
@@ -296,5 +239,40 @@ NOTES: dict[str, str] = {
                "variants still improve on WSD-H in 6/8 rows ✓.",
 }
 
-if __name__ == "__main__":
-    sys.exit(main())
+
+def _read(path: Path) -> str | None:
+    if not path.exists():
+        return None
+    text = path.read_text().strip()
+    if text.startswith("# "):  # demote artifact H1 titles inside sections
+        first, _, rest = text.partition("\n")
+        text = f"**{first[2:]}**\n{rest}"
+    return text
+
+
+def build_experiments(tables: dict, results_dir: Path) -> str:
+    """EXPERIMENTS.md's text. Per registry entry (``tables`` maps an id to a
+    ``harness.tables.Table``), in id order: its title, the paper's numbers,
+    the measured pivots (the tidy table where there are none) and the shape
+    check."""
+    parts = [HEADER.replace("%%SUMMARY%%", SUMMARY.strip())]
+    for tid, table in sorted(tables.items()):
+        parts.append(f"\n## {table.title}\n")
+        if tid in PAPER:
+            parts.append(PAPER[tid] + "\n")
+        tidy, *pivots = (_read(results_dir / f"{n}.md") for n in table.artifacts(tid))
+        ours = [t for t in pivots if t] or [t for t in [tidy] if t]
+        if ours:
+            parts.append("\nMeasured:\n\n" + "\n\n".join(ours) + "\n")
+        else:
+            run = f"python -m repro.harness.tables {tid}"
+            parts.append(f"\n*(no measured artifact found — run ``{run}``)*\n")
+        if tid in NOTES:
+            parts.append(f"\n**Shape check.** {NOTES[tid]}\n")
+    return "".join(parts)
+
+
+def write_experiments(tables: dict, results_dir: Path, out: Path) -> None:
+    text = build_experiments(tables, results_dir)
+    out.write_text(text)
+    print(f"wrote {out} ({len(text)} bytes)")

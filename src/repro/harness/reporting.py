@@ -1,5 +1,5 @@
-"""Result artifacts: every bench/job saves its table as markdown + JSON
-under ``results/`` so EXPERIMENTS.md can reference reproducible numbers."""
+"""Result artifacts: every paper table is saved as markdown + JSON under
+``results/`` so EXPERIMENTS.md can reference reproducible numbers."""
 from __future__ import annotations
 
 import json
@@ -21,7 +21,9 @@ def format_markdown(df: pd.DataFrame, floatfmt: str = "{:.3f}") -> str:
     return "\n".join([header, sep, *rows])
 
 
-def pivot_metric(df: pd.DataFrame, metric: str, index: str = "graph", columns: str = "label") -> pd.DataFrame:
+def pivot_metric(
+    df: pd.DataFrame, metric: str, index: str | list[str] = "graph", columns: str = "label"
+) -> pd.DataFrame:
     """Reshape tidy trial results into the paper's graph × algorithm layout."""
     return df.pivot_table(index=index, columns=columns, values=metric).reset_index()
 

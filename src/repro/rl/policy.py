@@ -4,8 +4,9 @@ The actor is ``a = ReLU(W s + b) + 1`` (Eq. 27, with the paper's "+1 to
 avoid zero weights"). ``variant`` selects the temporal state aggregation of
 Eq. (20): ``"max"`` (WSD-L) or ``"avg"`` (the Table XIII ablation).
 
-Policies serialise to ``.npz`` so benches can cache trained models under
-``results/policies/`` and ship them into Spark workers.
+Policies serialise to ``.npz`` so ``rl.train.get_or_train_policy`` can
+cache trained models between table runs; the Spark workers receive the
+parameters themselves.
 """
 from __future__ import annotations
 

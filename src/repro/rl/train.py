@@ -14,9 +14,11 @@ available core; each score is the mean of its candidate's errors in seed
 order, so the scores and the selection do not depend on the pool size
 (DESIGN.md §3, "Not on Spark").
 
-Trained policies are cached under ``results/policies`` keyed by
-(dataset, scenario, pattern, variant) so every table reuses them; training
-wall-time and the validation pool size are recorded for Tables IV / XI.
+``get_or_train_policy`` caches trained policies in a directory of the
+caller's choosing (the paper-table command uses the repository's untracked
+``results/policies/``), keyed by (dataset, scenario, pattern, variant) so
+every table reuses them; training wall-time and the validation pool size are
+recorded beside each policy for Tables IV / XI.
 """
 from __future__ import annotations
 

@@ -1,57 +1,62 @@
-"""Smoke tests for the spark-submit job entry points."""
+"""Tests for the paper-table command (``python -m repro.harness.tables``),
+its registry, EXPERIMENTS.md and the streaming demo job."""
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
-JOBS = sorted((Path(__file__).parent.parent / "jobs").glob("table*.py")) + [
-    Path(__file__).parent.parent / "jobs" / "streaming_demo.py"
-]
+from repro.harness import tables
+from repro.harness.config import BENCH, TEST
+from repro.harness.experiments import build_experiments
+from repro.harness.tables import TABLES, run_tables
 
-
-def _load(path):
-    sys.path.insert(0, str(path.parent))
-    try:
-        spec = importlib.util.spec_from_file_location(f"job_{path.stem}", path)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod
-    finally:
-        sys.path.pop(0)
+ROOT = Path(__file__).parent.parent
+JOBS = [ROOT / "jobs" / "streaming_demo.py"]
 
 
 @pytest.mark.parametrize("path", JOBS, ids=lambda p: p.stem)
 def test_job_importable_with_main(path):
-    mod = _load(path)
+    spec = importlib.util.spec_from_file_location(f"job_{path.stem}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
     assert callable(mod.main)
 
 
-def test_common_config_override():
-    sys.path.insert(0, str(JOBS[0].parent))
-    try:
-        import _common
-
-        args = _common.make_parser("x").parse_args(["--scale", "0.11", "--n-runs", "4"])
-        cfg = _common.config_from(args)
-        assert cfg.scale == 0.11 and cfg.n_runs == 4
-    finally:
-        sys.path.pop(0)
+def test_cli_config_override(monkeypatch):
+    seen = {}
+    monkeypatch.setattr(tables, "run_tables", lambda ids, cfg: seen.update(ids=ids, cfg=cfg))
+    monkeypatch.setattr(tables, "write_experiments", lambda *a: None)
+    tables.main(["table03", "--scale", "0.11", "--n-runs", "4"])
+    assert seen["ids"] == ["table03"]
+    assert seen["cfg"] == BENCH.with_(scale=0.11, n_runs=4)
+    assert tables.parse_args(["all"])[0] == list(TABLES)
 
 
-def test_table01_job_runs(tmp_path, monkeypatch, capsys):
-    mod = _load(JOBS[0])  # table01_datasets
-    monkeypatch.setattr(sys, "argv", ["table01", "--scale", "0.03"])
-    monkeypatch.setattr(mod, "RESULTS_DIR", tmp_path, raising=False)
-    # emit() writes into jobs/_common.RESULTS_DIR; patch that module instead
-    sys.path.insert(0, str(JOBS[0].parent))
-    try:
-        import _common
+def test_cli_unknown_id_lists_valid_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        tables.parse_args(["table14"])
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert "table14" in err
+    assert all(tid in err for tid in TABLES)
 
-        monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
-        mod.main()
-    finally:
-        sys.path.pop(0)
-    out = capsys.readouterr().out
-    assert "Table I" in out
-    assert (tmp_path / "table01_tidy.md").exists()
+
+def test_table01_job_runs(tmp_path, capsys):
+    run_tables(["table01"], TEST.with_(scale=0.03), results_dir=tmp_path, policy_dir=tmp_path)
+    assert "[table01]" in capsys.readouterr().out
+    assert (tmp_path / "table01_tidy.json").exists()
+    title = (tmp_path / "table01_tidy.md").read_text().splitlines()[0]
+    assert title == f"# {TABLES['table01'].title} (tidy)"
+
+
+def test_registry_matches_committed_results():
+    assert list(TABLES) == [f"table{i:02d}" for i in range(1, 14)]
+    for tid, table in TABLES.items():
+        for suffix in ("json", "md"):
+            committed = sorted(p.stem for p in (ROOT / "results").glob(f"{tid}_*.{suffix}"))
+            assert committed == sorted(table.artifacts(tid)), tid
+
+
+def test_experiments_md_matches_results():
+    text = build_experiments(TABLES, ROOT / "results")
+    assert text == (ROOT / "EXPERIMENTS.md").read_text()

@@ -1,5 +1,5 @@
-"""Table-driver integration tests at tiny scale (the benches run the same
-code at bench scale)."""
+"""Table-driver integration tests at tiny scale (``python -m
+repro.harness.tables`` runs the same code at bench scale)."""
 import os
 
 import pandas as pd
@@ -8,9 +8,9 @@ import pytest
 from repro.harness.config import TEST, ExpConfig
 from repro.harness.reporting import format_markdown, pivot_metric, save_table
 from repro.harness.tables import (
+    TABLES,
     dataset_stats,
     table_ablation,
-    table_insertion_only,
     table_main,
     table_training,
     table_transfer,
@@ -60,7 +60,7 @@ def test_table_main_4clique_excludes_soctw(spark, tmp_path):
 
 
 def test_table_insertion_only(spark, tmp_path):
-    df = table_insertion_only(spark, CFG, policy_dir=tmp_path, train_cfg=TRAIN)
+    df = TABLES["table06"].run(CFG, tmp_path, TRAIN)
     assert set(df["label"]) == {"WSD-L", "GPS", "Triest", "ThinkD", "WRS"}
     assert set(df["graph"]) == {"cit-PT"}
 
