@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-__all__ = ["build_experiments", "write_experiments"]
+__all__ = ["build_experiments"]
 
 # ---------------------------------------------------------------------------
 # The paper's numbers (ICDE 2023, Tables I–XIII), transcribed from the text.
@@ -271,8 +271,3 @@ def build_experiments(tables: dict, results_dir: Path) -> str:
             parts.append(f"\n**Shape check.** {NOTES[tid]}\n")
     return "".join(parts)
 
-
-def write_experiments(tables: dict, results_dir: Path, out: Path) -> None:
-    text = build_experiments(tables, results_dir)
-    out.write_text(text)
-    print(f"wrote {out} ({len(text)} bytes)")

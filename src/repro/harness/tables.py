@@ -8,7 +8,9 @@ the command that regenerates them::
 Each driver returns a tidy pandas DataFrame whose rows correspond to the
 paper's table cells (ARE/MARE in %, time in seconds per trial). The command
 writes every table's tidy frame and paper-layout pivots to ``results/`` and
-then rebuilds EXPERIMENTS.md from ``results/``.
+then rebuilds EXPERIMENTS.md from ``results/``. Both paths are rooted at the
+source checkout, so the package must be installed editable (``pip install
+-e .``); the command exits with an error otherwise.
 
 Policies for WSD-L are trained (or loaded from cache) on the Table I
 *training* graph of each dataset's category, under the same deletion
@@ -17,6 +19,7 @@ scenario and pattern as the experiment — exactly the paper's protocol.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -30,7 +33,7 @@ from ..graphs.generators import DATASETS, TRAIN_OF, generate
 from ..graphs.streams import make_stream
 from ..rl.train import TrainConfig, get_or_train_policy
 from .config import BENCH, BENCH_TRAIN, ExpConfig
-from .experiments import write_experiments
+from .experiments import build_experiments
 from .factory import ALGOS_DYNAMIC, ALGOS_INSERTION
 from .reporting import pivot_metric, save_table
 from .trials import trial_frame
@@ -327,14 +330,13 @@ def run_tables(
     *,
     results_dir: Path = RESULTS_DIR,
     policy_dir: Path = POLICY_DIR,
-    train_cfg: TrainConfig = BENCH_TRAIN,
 ) -> None:
     """Run each table and write its tidy frame and pivots to ``results_dir``,
     printing one line per table with its wall seconds."""
     for tid in ids:
         table = TABLES[tid]
         t0 = time.perf_counter()
-        df = table.run(cfg.with_(**table.cfg), policy_dir, train_cfg)
+        df = table.run(cfg.with_(**table.cfg), policy_dir, BENCH_TRAIN)
         tidy, *pivots = table.artifacts(tid)
         save_table(df, tidy, results_dir, title=f"{table.title} (tidy)")
         for metric, name in zip(table.metrics, pivots):
@@ -363,8 +365,12 @@ def parse_args(argv: list[str] | None = None) -> tuple[list[str], ExpConfig]:
 
 def main(argv: list[str] | None = None) -> None:
     ids, cfg = parse_args(argv)
+    if not (ROOT / "pyproject.toml").is_file():
+        sys.exit(f"{ROOT} is not a source checkout; install the package with pip install -e .")
     run_tables(ids, cfg)
-    write_experiments(TABLES, RESULTS_DIR, ROOT / "EXPERIMENTS.md")
+    text = build_experiments(TABLES, RESULTS_DIR)
+    (ROOT / "EXPERIMENTS.md").write_text(text)
+    print(f"wrote EXPERIMENTS.md ({len(text)} bytes)")
 
 
 if __name__ == "__main__":

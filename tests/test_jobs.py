@@ -22,14 +22,23 @@ def test_job_importable_with_main(path):
     assert callable(mod.main)
 
 
-def test_cli_config_override(monkeypatch):
+def test_cli_config_override(monkeypatch, tmp_path):
     seen = {}
     monkeypatch.setattr(tables, "run_tables", lambda ids, cfg: seen.update(ids=ids, cfg=cfg))
-    monkeypatch.setattr(tables, "write_experiments", lambda *a: None)
+    monkeypatch.setattr(tables, "ROOT", tmp_path)
+    (tmp_path / "pyproject.toml").touch()
     tables.main(["table03", "--scale", "0.11", "--n-runs", "4"])
     assert seen["ids"] == ["table03"]
     assert seen["cfg"] == BENCH.with_(scale=0.11, n_runs=4)
+    assert (tmp_path / "EXPERIMENTS.md").read_text() == (ROOT / "EXPERIMENTS.md").read_text()
     assert tables.parse_args(["all"])[0] == list(TABLES)
+
+
+def test_cli_needs_source_checkout(monkeypatch, tmp_path):
+    monkeypatch.setattr(tables, "run_tables", lambda ids, cfg: pytest.fail("ran tables"))
+    monkeypatch.setattr(tables, "ROOT", tmp_path)
+    with pytest.raises(SystemExit, match="pip install -e"):
+        tables.main(["table01"])
 
 
 def test_cli_unknown_id_lists_valid_ids(capsys):
