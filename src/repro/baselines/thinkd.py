@@ -16,7 +16,6 @@ __all__ = ["ThinkD"]
 
 class ThinkD:
     name = "ThinkD"
-    supports_deletion = True
 
     def __init__(self, M: int, pattern: str, seed: int = 0) -> None:
         self.pattern = pattern

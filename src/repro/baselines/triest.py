@@ -17,7 +17,6 @@ __all__ = ["Triest"]
 
 class Triest:
     name = "Triest"
-    supports_deletion = True
 
     def __init__(self, M: int, pattern: str, seed: int = 0) -> None:
         self.pattern = pattern

@@ -24,7 +24,6 @@ __all__ = ["WRS"]
 
 class WRS:
     name = "WRS"
-    supports_deletion = True
 
     def __init__(
         self, M: int, pattern: str, seed: int = 0, wr_ratio: float = 0.1

@@ -21,7 +21,6 @@ __all__ = ["GPS", "GPSA"]
 
 class GPS(WeightedSampler):
     name = "GPS"
-    supports_deletion = False
 
     def __init__(self, M, pattern, weight_fn, seed=0) -> None:
         super().__init__(M, pattern, weight_fn, seed)
@@ -56,7 +55,6 @@ class GPS(WeightedSampler):
 
 class GPSA(GPS):
     name = "GPS-A"
-    supports_deletion = True
 
     def _delete(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)

@@ -37,43 +37,29 @@ class WSD(WeightedSampler):
 
     # -- event processing --------------------------------------------------
     def _insert(self, u: int, v: int) -> None:
-        inst = self.begin_insert(u, v)
-        if inst is None:
-            return
-        w = self.weight_fn(
-            new_context(WeightContext, (u, v, self.t, self.pattern, inst, self.res))
-        )
-        self.finish_insert(u, v, inst, w)
-
-    def begin_insert(self, u: int, v: int) -> list | None:
-        """Phase 1 of an insertion (estimator update, Algorithm 2 lines 4–7):
-        returns the pattern instances formed by ``(u, v)`` with sampled
-        edges, as ``Reservoir.instances`` records, or None for an infeasible
-        duplicate. Split out so the RL environment can observe the state and
-        choose the weight before ``finish_insert`` commits the sampling
-        decision."""
         res = self.res
-        if ((u, v) if u < v else (v, u)) in res.records:
-            return None  # infeasible event; defensive no-op
+        key = (u, v) if u < v else (v, u)
+        if key in res.records:
+            return  # infeasible event; defensive no-op
+        # Estimator update (Algorithm 2 lines 4–7), then the sampling
+        # decision (Algorithm 1 ``insert``) with the weight W(e, R).
         inst = res.instances(self.pattern, u, v)
         if inst:
             self.estimate += contribution(inst, self.tau_q)
-        return inst
-
-    def finish_insert(self, u: int, v: int, inst: list, w: float) -> None:
-        """Phase 2 of an insertion (Algorithm 1 ``insert``) with weight ``w``."""
-        res = self.res
+        w = self.weight_fn(
+            new_context(WeightContext, (u, v, self.t, self.pattern, inst, res))
+        )
         r = self._rank(w)
         if len(res.records) < res.capacity:  # Case 1: tau_p, tau_q held
             if r > self.tau_p:  # Case 1.1
-                res.add((u, v) if u < v else (v, u), w, r, self.t)
+                res.add(key, w, r, self.t)
             # Case 1.2: discard
         else:  # Case 2: refresh tau_p to the reservoir's minimum rank
             _, mrec = res.min_entry()
             self.tau_p = mrec.rank
             if r > self.tau_p:  # Case 2.1: replace the minimum
                 res.pop_min()
-                res.add((u, v) if u < v else (v, u), w, r, self.t)
+                res.add(key, w, r, self.t)
                 self.tau_q = self.tau_p
             elif r > self.tau_q:  # Case 2.2
                 self.tau_q = r

@@ -326,13 +326,6 @@ TRAIN_OF = {
     "web-GL": "web-SF",
     "synthetic": "synthetic-train",
 }
-CATEGORY_OF = {
-    "cit-PT": "citation", "cit-HE": "citation",
-    "com-YT": "community", "com-DB": "community",
-    "soc-TW": "social", "soc-TX": "social",
-    "web-GL": "web", "web-SF": "web",
-    "synthetic": "ff", "synthetic-train": "ff",
-}
 
 
 def generate(name: str, *, scale: float = 1.0, seed_offset: int = 0) -> np.ndarray:

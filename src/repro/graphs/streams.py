@@ -186,7 +186,7 @@ def make_stream(
     seed: int = 0,
     last_del_frac: float = 0.55,
 ) -> np.ndarray:
-    """One-stop stream constructor used by the harness and the RL env."""
+    """One-stop stream constructor used by the harness and WSD-L training."""
     edges = reorder_edges(edges, ordering, seed=seed)
     if scenario == "insertion-only":
         return insertion_only_stream(edges)

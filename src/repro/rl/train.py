@@ -4,7 +4,9 @@ Follows the paper's protocol at reduced scale: for each (category, deletion
 scenario, pattern) we train on several streams generated from the category's
 *training* graph (Table I pairing) with the same deletion parameters as the
 test stream, for a fixed number of gradient updates (paper: 1000 iterations,
-replay 10k, batch 128, Adam lr 1e-3, γ = 0.99).
+replay 10k, batch 128, Adam lr 1e-3, γ = 0.99). An episode is one pass of WSD
+itself over a training stream, with the exploring actor as its weight
+function (``_Exploration.episode``).
 
 The final policy is the candidate (warm start, mid-training snapshots, final
 actors) with the lowest mean relative error over seeded WSD replays of a
@@ -32,15 +34,28 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.patterns import PATTERN_EDGES
+from ..core.weights import build_state
 from ..core.wsd import WSD
-from ..exact.incremental import truth_trajectory
+from ..exact.incremental import ExactCounter, truth_trajectory
 from ..graphs.generators import generate
 from ..graphs.streams import make_stream
 from .ddpg import DDPG
-from .env import WSDEnv
 from .policy import LearnedPolicy, heuristic_init_params
 
 __all__ = ["TrainConfig", "train_policy", "get_or_train_policy", "policy_path"]
+
+# Base of the training seeds: streams, DDPG runs, episodes and the
+# validation stream.
+SEED = 0
+# Exploration noise: starts at SIGMA0, decays by SIGMA_DECAY per gradient
+# update, never below SIGMA_MIN.
+SIGMA0 = 3.0
+SIGMA_DECAY = 0.995
+SIGMA_MIN = 0.2
+# Reservoir budget during training when ``TrainConfig.M`` is 0, as a
+# fraction of the stream's insertions.
+M_RATIO = 0.05
 
 
 @dataclass
@@ -48,22 +63,15 @@ class TrainConfig:
     iters: int = 600            # gradient updates (paper: 1000)
     n_streams: int = 3          # training streams (paper: 10)
     scale: float = 0.2          # training-graph scale factor
-    M: int = 0                  # reservoir size during training (0 = use m_ratio)
-    m_ratio: float = 0.05       # reservoir budget as a fraction of train |E|
+    M: int = 0                  # reservoir size during training (0 = use M_RATIO)
     batch: int = 128            # paper: N = 128
     replay: int = 10_000        # paper: 10,000
-    gamma: float = 0.99         # paper: 0.99
-    lr: float = 1e-3            # paper: Adam 0.001
-    sigma0: float = 3.0         # exploration noise, decayed per update
-    sigma_decay: float = 0.995
-    sigma_min: float = 0.2
-    update_every: int = 4       # env steps per gradient update
+    update_every: int = 4       # transitions per gradient update
     warm_start: bool = True     # init actor at the WSD-H heuristic
     restarts: int = 1           # independent DDPG runs pooled for selection
     alpha: float = 3e-4
     beta_m: float = 0.5
     beta_l: float = 0.2
-    seed: int = 0
 
 
 def _training_streams(dataset: str, scenario: str, cfg: TrainConfig):
@@ -75,10 +83,80 @@ def _training_streams(dataset: str, scenario: str, cfg: TrainConfig):
     return [
         make_stream(
             edges, scenario, alpha=cfg.alpha, beta_m=cfg.beta_m,
-            beta_l=cfg.beta_l, seed=cfg.seed + 100 + i,
+            beta_l=cfg.beta_l, seed=SEED + 100 + i,
         )
         for i in range(cfg.n_streams)
     ]
+
+
+class _Exploration:
+    """One DDPG run's exploration, across its episodes: the noise scale σ and
+    the update schedule — a gradient update every ``cfg.update_every``
+    transitions once the replay holds a batch, and actor snapshots at a third
+    and two thirds of ``cfg.iters``."""
+
+    def __init__(self, agent: DDPG, cfg: TrainConfig) -> None:
+        self.agent = agent
+        self.cfg = cfg
+        self.sigma = SIGMA0
+        self.steps = 0
+        self.snap_at = {cfg.iters // 3, 2 * cfg.iters // 3}
+        self.snapshots: list[dict[str, np.ndarray]] = []
+
+    def _push(self, prev: tuple, s2: np.ndarray | None, eps: float, done: bool) -> float:
+        """Store the transition from decision ``prev = (s, a, ε)`` to a state
+        with error ``eps``, run the update schedule, and return its reward."""
+        agent, cfg = self.agent, self.cfg
+        s, a, eps_prev = prev
+        r = eps_prev - eps
+        agent.replay.push(s, a, r, s2, done)
+        self.steps += 1
+        if self.steps % cfg.update_every == 0 and agent.replay.n >= cfg.batch:
+            agent.update()
+            self.sigma = max(SIGMA_MIN, self.sigma * SIGMA_DECAY)
+            if agent.updates in self.snap_at:
+                self.snapshots.append({k: v.copy() for k, v in agent.actor.items()})
+        return r
+
+    def episode(self, events: tuple[list, list, list], pattern: str, M: int,
+                variant: str, seed: int) -> float:
+        """One episode of the weight MDP (Section IV-A), returning its return.
+
+        WSD runs over the stream with the noisy actor as its weight function,
+        so the decision points are WSD's own feasible insertions: the state
+        is what the weight function sees (Eqs. 19–22), the action is the
+        weight (Eq. 23), and the reward ``r_k = ε(t_k) − ε(t_{k+1})``
+        (Eq. 25) is the change in relative error — against an exact counter
+        advanced before each event — between two decisions. Rewards telescope
+        to ``−ε(t_N)`` (Eq. 26; ``ε(t_1) = 0``). The episode stops as soon as
+        the agent has made ``cfg.iters`` updates."""
+        agent, iters = self.agent, self.cfg.iters
+        exact = ExactCounter(pattern)
+        prev = None  # (s_k, a_k, ε(t_k)) of the last decision
+        ret = 0.0
+
+        def error() -> float:
+            truth = exact.count
+            return abs(smp.estimate - truth) / max(1.0, truth)
+
+        def weight(ctx) -> float:
+            nonlocal prev, ret
+            s, eps = build_state(ctx, variant), error()
+            if prev is not None:
+                ret += self._push(prev, s, eps, False)
+            a = agent.explore(s, self.sigma)
+            prev = (s, a, eps)
+            return float(a)
+
+        smp = WSD(M, pattern, weight, seed)
+        for op, u, v in zip(*events):
+            exact.process(op, u, v)
+            smp.process(op, u, v)
+            if agent.updates >= iters:
+                return ret
+        if prev is not None:
+            ret += self._push(prev, None, error(), True)
+        return ret
 
 
 def train_policy(
@@ -99,11 +177,10 @@ def train_policy(
         if cfg.M > 0:
             return cfg.M
         n_ins = int((stream["op"] > 0).sum())
-        return max(50, int(cfg.m_ratio * n_ins))
+        return max(50, int(M_RATIO * n_ins))
 
-    envs = [
-        WSDEnv(s, pattern, m_for(s), seed=cfg.seed + i, variant=variant)
-        for i, s in enumerate(streams)
+    episodes = [
+        ((s["op"].tolist(), s["u"].tolist(), s["v"].tolist()), m_for(s)) for s in streams
     ]
     episode_returns: list[float] = []
     snapshots: list[dict[str, np.ndarray]] = []
@@ -111,40 +188,22 @@ def train_policy(
     total_eps = 0
     for restart in range(max(1, cfg.restarts)):
         agent = DDPG(
-            envs[0].state_dim,
+            PATTERN_EDGES[pattern] + 3,
             actor_init=heuristic_init_params(pattern) if cfg.warm_start else None,
-            gamma=cfg.gamma,
-            lr=cfg.lr,
             replay_capacity=cfg.replay,
             batch=cfg.batch,
-            seed=cfg.seed + 31 * restart,
+            seed=SEED + 31 * restart,
         )
-        sigma = cfg.sigma0
-        snap_at = {cfg.iters // 3, 2 * cfg.iters // 3}
-        steps = 0
+        run = _Exploration(agent, cfg)
         ep = 0
         while agent.updates < cfg.iters:
-            env = envs[ep % len(envs)]
-            s = env.reset(seed=cfg.seed + 1000 + 7919 * restart + ep)
-            ep_ret = 0.0
-            while s is not None:
-                a = agent.explore(s, sigma)
-                s2, r, done = env.step(a)
-                agent.replay.push(s, a, r, s2, done)
-                ep_ret += r
-                s = s2
-                steps += 1
-                if steps % cfg.update_every == 0 and agent.replay.n >= cfg.batch:
-                    agent.update()
-                    sigma = max(cfg.sigma_min, sigma * cfg.sigma_decay)
-                    if agent.updates in snap_at:
-                        snapshots.append({k: v.copy() for k, v in agent.actor.items()})
-                    if agent.updates >= cfg.iters:
-                        break
-            episode_returns.append(ep_ret)
+            events, M = episodes[ep % len(episodes)]
+            seed = SEED + 1000 + 7919 * restart + ep
+            episode_returns.append(run.episode(events, pattern, M, variant, seed))
             ep += 1
             if ep > 200:  # safety bound
                 break
+        snapshots += run.snapshots
         snapshots.append({k: v.copy() for k, v in agent.actor.items()})
         total_updates += agent.updates
         total_eps += ep
@@ -158,7 +217,7 @@ def train_policy(
     val_edges = generate(dataset, scale=cfg.scale, seed_offset=7)
     val_stream = make_stream(
         val_edges, scenario, alpha=cfg.alpha, beta_m=cfg.beta_m,
-        beta_l=cfg.beta_l, seed=cfg.seed + 997,
+        beta_l=cfg.beta_l, seed=SEED + 997,
     )
     t_validate = time.perf_counter()
     _, val_truth = truth_trajectory(val_stream, pattern, 10**9)

@@ -68,6 +68,26 @@ def write_event_files(stream: np.ndarray, out_dir: str | Path, window_size: int)
     return paths
 
 
+def _check_batch(pdf: pd.DataFrame, window: int, first: int) -> None:
+    """Raise unless the micro-batch ``pdf``, sorted by ``seq``, holds events
+    ``first, first + 1, …`` with every field set. A malformed JSON line reads
+    back as a row of nulls; a missing or repeated line breaks the run of
+    ``seq``."""
+    nulls = int(pdf[["seq", "op", "u", "v"]].isna().any(axis=1).sum())
+    if nulls:
+        raise RuntimeError(
+            f"window {window}: {nulls} event(s) with a null seq/op/u/v field "
+            f"(malformed line?); expected seq {first} onwards"
+        )
+    seq = pdf["seq"].to_numpy()
+    bad = np.flatnonzero(seq != np.arange(first, first + len(seq)))
+    if len(bad):
+        i = int(bad[0])
+        raise RuntimeError(
+            f"window {window}: expected seq {first + i}, got {int(seq[i])}"
+        )
+
+
 def run_streaming_estimate(
     spark: SparkSession,
     stream: np.ndarray,
@@ -94,11 +114,7 @@ def run_streaming_estimate(
         pdf = batch_df.orderBy(F.col("seq")).toPandas()
         if pdf.empty:
             return
-        if int(pdf["seq"].iloc[0]) != expected_next["seq"]:
-            raise RuntimeError(
-                f"out-of-order micro-batch: expected seq {expected_next['seq']}, "
-                f"got {int(pdf['seq'].iloc[0])}"
-            )
+        _check_batch(pdf, batch_id, expected_next["seq"])
         for op, u, v in zip(pdf["op"], pdf["u"], pdf["v"]):
             sampler.process(int(op), int(u), int(v))
         expected_next["seq"] = int(pdf["seq"].iloc[-1]) + 1

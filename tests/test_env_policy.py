@@ -1,14 +1,17 @@
-"""MDP environment (Eqs. 19–26) and learned-policy tests."""
+"""Training episodes of the weight MDP (Eqs. 19–26) and learned-policy
+tests."""
 import numpy as np
 import pytest
 
-from repro.core.weights import heuristic_weight
+from repro.core.patterns import PATTERN_EDGES
+from repro.core.weights import build_state, heuristic_weight
 from repro.core.wsd import WSD
+from repro.exact.incremental import ExactCounter
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
-from repro.rl.env import WSDEnv
+from repro.rl.ddpg import DDPG
 from repro.rl.policy import LearnedPolicy, actor_weight, heuristic_init_params
-from repro.rl.train import TrainConfig, get_or_train_policy, train_policy
+from repro.rl.train import TrainConfig, _Exploration, get_or_train_policy, train_policy
 
 
 @pytest.fixture(scope="module")
@@ -17,56 +20,81 @@ def stream():
     return make_stream(edges, "light", beta_l=0.2, seed=1)
 
 
+def _episode(stream, pattern: str, seed: int, **cfg):
+    """One exploration episode of a warm-started agent on ``stream`` with a
+    50-edge reservoir; by default the batch exceeds the episode, so no
+    gradient update runs and the episode sees the whole stream."""
+    cfg = TrainConfig(**{"iters": 1, "batch": len(stream) + 1, "replay": len(stream), **cfg})
+    agent = DDPG(
+        PATTERN_EDGES[pattern] + 3, actor_init=heuristic_init_params(pattern),
+        replay_capacity=cfg.replay, batch=cfg.batch,
+    )
+    run = _Exploration(agent, cfg)
+    events = (stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist())
+    ret = run.episode(events, pattern, 50, "max", seed)
+    return ret, run, agent.replay
+
+
+def _replay(stream, pattern: str, seed: int, actions: list[float]):
+    """Plain WSD over ``stream`` with ``actions`` as its weights, in order;
+    returns the sampler and the states its weight function saw."""
+    states = []
+    it = iter(actions)
+
+    def weight(ctx):
+        states.append(build_state(ctx))
+        return next(it)
+
+    smp = WSD(50, pattern, weight, seed)
+    for op, u, v in zip(stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist()):
+        smp.process(op, u, v)
+    return smp, states
+
+
 def test_env_state_shape(stream):
-    env = WSDEnv(stream, "triangle", 50, seed=0)
-    s = env.reset()
-    assert s is not None and s.shape == (6,)
-    assert env.state_dim == 6
+    """The episode's transitions hold the states WSD's weight function sees
+    when plain WSD replays the episode's actions: ``|H| + 3`` wide, each
+    transition's next state the following decision's state."""
+    for pattern in ("wedge", "triangle"):
+        _, run, rb = _episode(stream, pattern, seed=0)
+        n = run.steps
+        _, states = _replay(stream, pattern, 0, rb.a[:n].tolist())
+        assert len(states) == n
+        assert rb.s.shape[1] == PATTERN_EDGES[pattern] + 3
+        np.testing.assert_array_equal(rb.s[:n], np.array(states))
+        np.testing.assert_array_equal(rb.s2[:n - 1], rb.s[1:n])
 
 
 def test_env_steps_through_all_insertions(stream):
-    env = WSDEnv(stream, "triangle", 50, seed=0)
-    s = env.reset()
-    n = 0
-    while s is not None:
-        s, r, done = env.step(1.0)
-        n += 1
-    assert done
-    assert n == int((stream["op"] > 0).sum())
+    """Exactly one transition per feasible insertion; only the last is
+    terminal."""
+    _, run, rb = _episode(stream, "triangle", seed=0)
+    n = int((stream["op"] > 0).sum())
+    assert run.steps == rb.n == n
+    assert rb.done[:n].tolist() == [False] * (n - 1) + [True]
 
 
 def test_env_rewards_telescope(stream):
-    """Σ r_k = ε(t_1) − ε(t_N) = −ε(t_N) with relative error (Eq. 26
-    adapted; ε(t_1) = 0 because both estimate and truth start at 0)."""
-    env = WSDEnv(stream, "triangle", 50, seed=3)
-    s = env.reset()
-    total = 0.0
-    first_eps = env._rel_error()
-    while s is not None:
-        s, r, done = env.step(2.0)
-        total += r
-    final_eps = env._rel_error()
-    assert total == pytest.approx(first_eps - final_eps, abs=1e-9)
-
-
-def test_env_step_without_reset_raises(stream):
-    env = WSDEnv(stream, "triangle", 50)
-    with pytest.raises(RuntimeError):
-        env.step(1.0)
-
-
-def test_env_matches_plain_wsd_with_constant_weight(stream):
-    """Driving WSD through the env with weight w must equal running WSD with
-    a constant weight function — same estimates, same reservoir."""
-    env = WSDEnv(stream, "triangle", 60, seed=7)
-    s = env.reset()
-    while s is not None:
-        s, _, _ = env.step(4.0)
-    ref = WSD(60, "triangle", lambda ctx: 4.0, seed=7)
+    """With no early stop the episode return is ``−ε(t_N)``, the relative
+    error at stream end (Eq. 26; ``ε(t_1) = 0`` because both estimate and
+    truth start at 0)."""
+    ret, run, rb = _episode(stream, "triangle", seed=3)
+    smp, _ = _replay(stream, "triangle", 3, rb.a[:run.steps].tolist())
+    exact = ExactCounter("triangle")
     for op, u, v in zip(stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist()):
-        ref.process(op, u, v)
-    assert env.sampler.estimate == pytest.approx(ref.estimate)
-    assert set(env.sampler.res.records) == set(ref.res.records)
+        exact.process(op, u, v)
+    eps = abs(smp.estimate - exact.count) / max(1.0, exact.count)
+    assert eps > 0
+    assert ret == pytest.approx(-eps, abs=1e-9)
+    assert ret == pytest.approx(rb.r[:run.steps].sum(), abs=1e-9)
+
+
+def test_episode_stops_at_iters(stream):
+    """An episode ends as soon as the agent has made ``iters`` updates."""
+    _, run, rb = _episode(stream, "triangle", seed=0, iters=5, batch=8, update_every=2)
+    assert run.agent.updates == 5
+    assert run.steps == 8 + 2 * 4  # first update at a full batch, then every 2
+    assert not rb.done[:run.steps].any()
 
 
 def test_policy_heuristic_init_equals_wsdh(stream):

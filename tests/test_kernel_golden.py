@@ -6,9 +6,10 @@ the six ``ALGOS_DYNAMIC`` samplers plus WSD-L with ``variant="avg"`` — both
 WSD-L variants with a fixed, untrained actor — and WSD-U on one small stream
 per (pattern, deletion scenario), and of GPS on the insertion-only stream
 (Table VI), each with a reservoir smaller than the stream and one larger than
-it. It also pins two tiny ``train_policy`` runs, which go through the RL
-environment's state construction and the candidate validation pool, and
-checks that they do not depend on how many workers that pool has.
+it. It also pins two tiny ``train_policy`` runs, whose episodes build every
+state through WSD's weight function and whose candidates go through the
+validation pool, and checks that they do not depend on how many workers that
+pool has.
 
 The values live in ``golden/kernel_trajectories.json``. To re-record them
 (only after a change that is *meant* to move estimates), run::

@@ -1,9 +1,11 @@
 """Structured Streaming ingestion tests — streaming must be bit-identical to
 the batch kernel."""
 import json
+import os
 
 import numpy as np
 import pytest
+from pyspark.errors import StreamingQueryException
 
 from repro.baselines.thinkd import ThinkD
 from repro.core.runner import run_trial
@@ -11,6 +13,7 @@ from repro.core.weights import heuristic_weight
 from repro.core.wsd import WSD
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
+from repro.streaming import windowed
 from repro.streaming.windowed import run_streaming_estimate, write_event_files
 
 
@@ -72,3 +75,37 @@ def test_streaming_window_rows(spark, tmp_path, stream):
     assert df["n_events"].sum() == len(stream)
     assert (df["window"].diff().dropna() > 0).all()
     assert df["last_seq"].iloc[-1] == len(stream) - 1
+
+
+def _run_with_edit(spark, tmp_path, stream, monkeypatch, window: int, edit) -> None:
+    """Run the streaming estimate after ``edit`` rewrote the lines of window
+    file ``window`` (200 events per window)."""
+    def write(*args, **kwargs):
+        paths = write_event_files(*args, **kwargs)
+        p = paths[window]
+        mtime = p.stat().st_mtime
+        p.write_text("".join(edit(p.read_text().splitlines(keepends=True))))
+        os.utime(p, (mtime, mtime))
+        return paths
+
+    monkeypatch.setattr(windowed, "write_event_files", write)
+    s = WSD(40, "triangle", heuristic_weight, seed=1)
+    run_streaming_estimate(spark, stream, s, window_size=200, work_dir=tmp_path)
+
+
+def test_streaming_rejects_missing_event(spark, tmp_path, stream, monkeypatch):
+    """A window file with one line removed breaks the run of ``seq`` inside
+    the micro-batch, not at its start."""
+    with pytest.raises(StreamingQueryException, match="window 0: expected seq 100, got 101"):
+        _run_with_edit(
+            spark, tmp_path, stream, monkeypatch, 0, lambda lines: lines[:100] + lines[101:]
+        )
+
+
+def test_streaming_rejects_malformed_event(spark, tmp_path, stream, monkeypatch):
+    """A malformed JSON line reads back as a row of nulls."""
+    with pytest.raises(StreamingQueryException, match=r"window 1: 1 event\(s\) with a null .*expected seq 200"):
+        _run_with_edit(
+            spark, tmp_path, stream, monkeypatch, 1,
+            lambda lines: lines[:50] + ['{"seq": 250, "op": \n'] + lines[51:],
+        )

@@ -1,7 +1,7 @@
 """The weighted-sampler core: ranks drawn from replayed raw blocks must
 be bit-identical to scalar ``ranks.rank(w, default_rng(seed))`` draws, across
-block refills, for WSD, GPS/GPS-A and the RL environment's
-``WSDEnv.finish_insert``."""
+block refills, for WSD and GPS/GPS-A. WSD-L training runs plain WSD, so its
+ranks are covered by the WSD cases."""
 import numpy as np
 import pytest
 
@@ -12,8 +12,6 @@ from repro.core.weights import heuristic_weight
 from repro.core.wsd import WSD
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
-from repro.rl import env as env_module
-from repro.rl.env import WSDEnv
 
 SEED = 7
 
@@ -83,24 +81,3 @@ def test_full_run_matches_scalar_draws(block_cls, scalar_cls, scenario):
     got = _run(block_cls(60, "triangle", heuristic_weight, SEED), stream)
     want = _run(scalar_cls(60, "triangle", heuristic_weight, SEED), stream)
     assert _state(got) == _state(want)
-
-
-def _episode(monkeypatch, sampler_cls, stream) -> tuple:
-    monkeypatch.setattr(env_module, "WSD", sampler_cls)
-    env = WSDEnv(stream, "triangle", 60, seed=SEED)
-    s = env.reset()
-    trace = []
-    k = 0
-    while s is not None:
-        s, r, _ = env.step(1.0 + (k % 7) * 0.5)
-        trace.append(r)
-        k += 1
-    assert k > 2 * draws.BLOCK + 1
-    return trace, _state(env.sampler)
-
-
-def test_env_finish_insert_matches_scalar_draws(monkeypatch):
-    stream = _stream("light")
-    got = _episode(monkeypatch, WSD, stream)
-    want = _episode(monkeypatch, ScalarWSD, stream)
-    assert got == want
