@@ -15,18 +15,14 @@ __all__ = ["ThinkD"]
 
 
 class ThinkD:
-    name = "ThinkD"
-
     def __init__(self, M: int, pattern: str, seed: int = 0) -> None:
         self.pattern = pattern
         self.h = PATTERN_EDGES[pattern]
         self.rp = RandomPairing(M, seed)
         self.adj: dict[int, set[int]] = {}
         self.estimate = 0.0
-        self.t = 0
 
     def process(self, op: int, u: int, v: int) -> None:
-        self.t += 1
         key = (u, v) if u < v else (v, u)
         adj = self.adj
         rp = self.rp

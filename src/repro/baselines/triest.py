@@ -16,21 +16,17 @@ __all__ = ["Triest"]
 
 
 class Triest:
-    name = "Triest"
-
     def __init__(self, M: int, pattern: str, seed: int = 0) -> None:
         self.pattern = pattern
         self.h = PATTERN_EDGES[pattern]
         self.rp = RandomPairing(M, seed)
         self.adj: dict[int, set[int]] = {}
         self.sample_count = 0.0  # instances wholly inside the sample graph
-        self.t = 0
 
     def process(self, op: int, u: int, v: int) -> None:
         """On every sample membership change, ``sample_count`` moves by the
         instances the edge forms with the *other* sampled edges (counted
         while the adjacency does not hold it)."""
-        self.t += 1
         key = (u, v) if u < v else (v, u)
         adj = self.adj
         if op > 0:

@@ -23,8 +23,6 @@ __all__ = ["WRS"]
 
 
 class WRS:
-    name = "WRS"
-
     def __init__(
         self, M: int, pattern: str, seed: int = 0, wr_ratio: float = 0.1
     ) -> None:
@@ -34,13 +32,11 @@ class WRS:
         self.h = PATTERN_EDGES[pattern]
         self.wr_cap = max(1, int(M * wr_ratio))
         self.rp = RandomPairing(max(1, M - self.wr_cap), seed)
-        self.waiting: OrderedDict[tuple[int, int], int] = OrderedDict()
+        self.waiting: OrderedDict[tuple[int, int], None] = OrderedDict()
         self.adj: dict[int, set[int]] = {}  # stored = waiting room ∪ reservoir
         self.estimate = 0.0
-        self.t = 0
 
     def process(self, op: int, u: int, v: int) -> None:
-        self.t += 1
         key = (u, v) if u < v else (v, u)
         adj = self.adj
         waiting = self.waiting
@@ -90,7 +86,7 @@ class WRS:
         if op > 0:
             # admit to the waiting room; the displaced oldest edge enters the
             # reservoir's random-pairing population.
-            waiting[key] = self.t
+            waiting[key] = None
             adj_add(adj, key)
             if len(waiting) > self.wr_cap:
                 old, _ = waiting.popitem(last=False)

@@ -20,8 +20,6 @@ __all__ = ["GPS", "GPSA"]
 
 
 class GPS(WeightedSampler):
-    name = "GPS"
-
     def __init__(self, M, pattern, weight_fn, seed=0) -> None:
         super().__init__(M, pattern, weight_fn, seed)
         self.z_star = 0.0  # r_{M+1}: largest discarded rank
@@ -54,8 +52,6 @@ class GPS(WeightedSampler):
 
 
 class GPSA(GPS):
-    name = "GPS-A"
-
     def _delete(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
         res = self.res

@@ -28,8 +28,6 @@ __all__ = ["WSD"]
 class WSD(WeightedSampler):
     """WSD sampler + estimator. ``weight_fn`` distinguishes WSD-H / WSD-L."""
 
-    name = "WSD"
-
     def __init__(self, M, pattern, weight_fn, seed=0) -> None:
         super().__init__(M, pattern, weight_fn, seed)
         self.tau_p = 0.0

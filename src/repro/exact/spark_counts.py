@@ -1,35 +1,18 @@
-"""Exact pattern counts as Catalyst DataFrame computations.
+"""Exact pattern counts as DuckDB oracle SQL.
 
-These are the batch ground-truth counterpart of the incremental counter:
-wedge / triangle / 4-clique counts of a graph snapshot, expressed as
-DataFrame self-joins over a canonical edge table (columns ``a < b``). Tests
-cross-check them against the incremental counter and, via
-``repro.oracle.assert_equivalent``, against DuckDB SQL over the same edges.
-
-Broadcast joins are disabled by the session fixture, so at bench scale these
-exercise real shuffle joins.
+``WEDGE_SQL`` / ``TRIANGLE_SQL`` / ``FOURCLIQUE_SQL`` count wedges, triangles
+and 4-cliques over a table ``edges(a, b)`` with ``a < b``; ``alive_edges``
+builds that edge set from a fully dynamic stream. Tests check the
+incremental counter's final count against these queries, and the perfbench
+end-to-end check runs them over each stream's final graph. The module keeps
+its name because perfbench imports from this path.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-__all__ = [
-    "edges_to_df",
-    "alive_edges",
-    "count_wedges_df",
-    "count_triangles_df",
-    "count_4cliques_df",
-    "exact_count_df",
-    "WEDGE_SQL",
-    "TRIANGLE_SQL",
-    "FOURCLIQUE_SQL",
-]
+__all__ = ["alive_edges", "WEDGE_SQL", "TRIANGLE_SQL", "FOURCLIQUE_SQL"]
 
-# DuckDB oracle SQL over a table ``edges(a, b)`` with a < b — used with
-# repro.oracle.assert_equivalent against the DataFrames built below.
 WEDGE_SQL = """
 WITH deg AS (
   SELECT v, count(*) AS d FROM (
@@ -55,13 +38,6 @@ FROM edges e1 JOIN edges e2 ON e2.a = e1.b
 """
 
 
-def edges_to_df(spark: SparkSession, edges: np.ndarray) -> DataFrame:
-    """Canonical edge table (a < b) from an (m, 2) array."""
-    a = np.minimum(edges[:, 0], edges[:, 1])
-    b = np.maximum(edges[:, 0], edges[:, 1])
-    return spark.createDataFrame(pd.DataFrame({"a": a, "b": b}))
-
-
 def alive_edges(stream: np.ndarray) -> np.ndarray:
     """Edges present at the end of a fully dynamic stream."""
     alive: dict[tuple[int, int], None] = {}
@@ -76,53 +52,3 @@ def alive_edges(stream: np.ndarray) -> np.ndarray:
     if not alive:
         return np.empty((0, 2), dtype=np.int64)
     return np.asarray(list(alive.keys()), dtype=np.int64)
-
-
-def count_wedges_df(edges: DataFrame) -> DataFrame:
-    """Number of wedges (2-paths) = Σ_v C(deg(v), 2), via DataFrame aggs."""
-    deg = (
-        edges.select(F.col("a").alias("v"))
-        .unionAll(edges.select(F.col("b").alias("v")))
-        .groupBy("v")
-        .agg(F.count("*").alias("d"))
-    )
-    return deg.agg(
-        F.sum(F.col("d") * (F.col("d") - 1) / 2).cast("bigint").alias("cnt")
-    )
-
-
-def count_triangles_df(edges: DataFrame) -> DataFrame:
-    """Triangles x<y<z via the canonical 3-way self-join."""
-    e1 = edges.alias("e1")
-    e2 = edges.alias("e2")
-    e3 = edges.alias("e3")
-    joined = (
-        e1.join(e2, F.col("e2.a") == F.col("e1.b"))
-        .join(e3, (F.col("e3.a") == F.col("e1.a")) & (F.col("e3.b") == F.col("e2.b")))
-    )
-    return joined.agg(F.count("*").alias("cnt"))
-
-
-def count_4cliques_df(edges: DataFrame) -> DataFrame:
-    """4-cliques w<x<y<z via the canonical 6-edge self-join."""
-    e = [edges.alias(f"e{i}") for i in range(1, 7)]
-    joined = (
-        e[0]
-        .join(e[1], F.col("e2.a") == F.col("e1.b"))
-        .join(e[2], (F.col("e3.a") == F.col("e1.a")) & (F.col("e3.b") == F.col("e2.b")))
-        .join(e[3], F.col("e4.a") == F.col("e2.b"))
-        .join(e[4], (F.col("e5.a") == F.col("e1.b")) & (F.col("e5.b") == F.col("e4.b")))
-        .join(e[5], (F.col("e6.a") == F.col("e1.a")) & (F.col("e6.b") == F.col("e4.b")))
-    )
-    return joined.agg(F.count("*").alias("cnt"))
-
-
-def exact_count_df(spark: SparkSession, edges: np.ndarray, pattern: str) -> DataFrame:
-    df = edges_to_df(spark, edges)
-    if pattern == "wedge":
-        return count_wedges_df(df)
-    if pattern == "triangle":
-        return count_triangles_df(df)
-    if pattern == "4clique":
-        return count_4cliques_df(df)
-    raise ValueError(f"unknown pattern {pattern!r}")

@@ -13,13 +13,8 @@ Two deletion scenarios from the paper:
   probability ``beta_m`` (each deletion is its own stream event).
 * **light deletion** [WRS]: each edge has probability ``beta_l`` of being
   deleted, the deletion placed at a uniformly random later position.
-
-Orderings (Section V-B(3)): natural (generator arrival order), UAR (uniform
-random permutation), RBFS (random-start BFS order).
 """
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -27,13 +22,17 @@ from ..draws import Draws
 
 STREAM_DTYPE = np.dtype([("op", np.int8), ("u", np.int64), ("v", np.int64)])
 
+# Share of insertions that may be followed by a massive-deletion event
+# (DESIGN.md §4); see ``massive_deletion_stream``.
+LAST_DEL_FRAC = 0.55
+
 __all__ = [
     "STREAM_DTYPE",
+    "LAST_DEL_FRAC",
     "make_stream",
     "massive_deletion_stream",
     "light_deletion_stream",
     "insertion_only_stream",
-    "reorder_edges",
 ]
 
 
@@ -61,12 +60,11 @@ def massive_deletion_stream(
     alpha: float,
     beta_m: float,
     seed: int = 0,
-    last_del_frac: float = 0.55,
 ) -> np.ndarray:
     """Insert each edge in order; after each insertion, with prob ``alpha``
     delete each currently-present edge independently with prob ``beta_m``.
 
-    ``last_del_frac`` restricts massive-deletion events to the first fraction
+    ``LAST_DEL_FRAC`` restricts massive-deletion events to the first fraction
     of insertions. At the paper's scale the expected run of insertions after
     the last deletion event is 1/alpha = 3M edges, so the final graph (on
     which ARE is measured) is always substantial; at our reduced scale an
@@ -79,7 +77,7 @@ def massive_deletion_stream(
     vs: list[int] = []
     if not len(edges):
         return _events(ops, us, vs)
-    del_until = last_del_frac * len(edges)
+    del_until = LAST_DEL_FRAC * len(edges)
     src_u, src_v = edges[:, 0].tolist(), edges[:, 1].tolist()
     # Each ordered pair is keyed by one int, not a tuple, and mapped to the
     # index of its insertion: the loop allocates no container per edge, so
@@ -135,46 +133,6 @@ def light_deletion_stream(
     return out
 
 
-def reorder_edges(edges: np.ndarray, ordering: str, *, seed: int = 0) -> np.ndarray:
-    """Return ``edges`` in ``natural`` / ``uar`` / ``rbfs`` arrival order."""
-    if ordering == "natural":
-        return edges
-    rng = np.random.default_rng(seed)
-    if ordering == "uar":
-        return edges[rng.permutation(len(edges))]
-    if ordering == "rbfs":
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for i, (u, v) in enumerate(edges.tolist()):
-            adj.setdefault(u, []).append((v, i))
-            adj.setdefault(v, []).append((u, i))
-        visited_e = [False] * len(edges)
-        order: list[int] = []
-        verts = list(adj.keys())
-        seen_v: set[int] = set()
-        first_unseen = 0  # every vertex before it is seen; seen_v only grows
-        while len(order) < len(edges):
-            start = verts[int(rng.integers(0, len(verts)))]
-            if start in seen_v:
-                while first_unseen < len(verts) and verts[first_unseen] in seen_v:
-                    first_unseen += 1
-                if first_unseen == len(verts):
-                    break
-                start = verts[first_unseen]
-            queue = deque([start])
-            seen_v.add(start)
-            while queue:
-                x = queue.popleft()
-                for y, ei in adj[x]:
-                    if not visited_e[ei]:
-                        visited_e[ei] = True
-                        order.append(ei)
-                    if y not in seen_v:
-                        seen_v.add(y)
-                        queue.append(y)
-        return edges[np.asarray(order, dtype=np.int64)]
-    raise ValueError(f"unknown ordering {ordering!r}")
-
-
 def make_stream(
     edges: np.ndarray,
     scenario: str,
@@ -182,18 +140,13 @@ def make_stream(
     alpha: float = 1e-4,
     beta_m: float = 0.8,
     beta_l: float = 0.2,
-    ordering: str = "natural",
     seed: int = 0,
-    last_del_frac: float = 0.55,
 ) -> np.ndarray:
     """One-stop stream constructor used by the harness and WSD-L training."""
-    edges = reorder_edges(edges, ordering, seed=seed)
     if scenario == "insertion-only":
         return insertion_only_stream(edges)
     if scenario == "massive":
-        return massive_deletion_stream(
-            edges, alpha=alpha, beta_m=beta_m, seed=seed, last_del_frac=last_del_frac
-        )
+        return massive_deletion_stream(edges, alpha=alpha, beta_m=beta_m, seed=seed)
     if scenario == "light":
         return light_deletion_stream(edges, beta_l=beta_l, seed=seed)
     raise ValueError(f"unknown scenario {scenario!r}")

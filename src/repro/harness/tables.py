@@ -251,11 +251,7 @@ class Table:
 
 
 def _spark() -> SparkSession:
-    return (
-        SparkSession.builder.appName("repro-tables")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    return SparkSession.builder.appName("repro-tables").getOrCreate()
 
 
 def _main(pattern: str, scenario: str, **kw) -> Run:

@@ -71,7 +71,6 @@ class DDPG:
     ) -> None:
         self.rng = np.random.default_rng(seed)
         self.gamma, self.tau, self.batch = gamma, tau, batch
-        self.state_dim = state_dim
         if actor_init is None:
             s = 1.0 / np.sqrt(state_dim)
             actor_init = {

@@ -1,16 +1,17 @@
-"""Stream constructor tests: feasibility (Definition 1), scenario shape,
-orderings."""
+"""Stream constructor tests: feasibility (Definition 1), scenario shape."""
+import math
+
 import numpy as np
 import pytest
 
 from repro.graphs.generators import generate
 from repro.graphs.streams import (
+    LAST_DEL_FRAC,
     STREAM_DTYPE,
     insertion_only_stream,
     light_deletion_stream,
     make_stream,
     massive_deletion_stream,
-    reorder_edges,
 )
 
 DATASETS = ["cit-PT", "com-YT", "soc-TW", "web-GL", "synthetic"]
@@ -61,16 +62,16 @@ def test_massive_deletion_has_bulk_events():
 
 def test_massive_deletion_respects_last_del_frac():
     edges = generate("cit-PT", scale=0.15)
-    stream = massive_deletion_stream(
-        edges, alpha=5e-3, beta_m=0.8, seed=2, last_del_frac=0.5
-    )
+    stream = massive_deletion_stream(edges, alpha=5e-3, beta_m=0.8, seed=2)
     ins_positions = np.flatnonzero(stream["op"] > 0)
     del_positions = np.flatnonzero(stream["op"] < 0)
-    # every deletion happens before the insertion at index > 50% + run length
-    n_ins = len(ins_positions)
-    cutoff_pos = ins_positions[int(0.5 * n_ins) + 1] if n_ins > 2 else len(stream)
-    # allow the deletion run straddling the cutoff insertion itself
-    assert del_positions.max() <= cutoff_pos + len(edges)
+    # Every edge is inserted once, so the i-th insertion event is edge i.
+    assert len(ins_positions) == len(edges)
+    assert len(del_positions) > 0
+    # A deletion event may follow the insertion of edge i only while
+    # i < LAST_DEL_FRAC * m: all deletions precede edge ceil(LAST_DEL_FRAC * m).
+    cutoff = math.ceil(LAST_DEL_FRAC * len(edges))
+    assert del_positions.max() < ins_positions[cutoff]
 
 
 def test_massive_deletion_beta_zero_is_insertion_only():
@@ -113,41 +114,6 @@ def test_make_stream_unknown_scenario():
     edges = generate("soc-TX", scale=0.05)
     with pytest.raises(ValueError):
         make_stream(edges, "bogus")
-
-
-@pytest.mark.parametrize("ordering", ["natural", "uar", "rbfs"])
-def test_reorder_preserves_edges(ordering):
-    edges = generate("web-SF", scale=0.05)
-    out = reorder_edges(edges, ordering, seed=7)
-    assert sorted(map(tuple, out.tolist())) == sorted(map(tuple, edges.tolist()))
-
-
-def test_reorder_uar_shuffles():
-    edges = generate("web-SF", scale=0.05)
-    out = reorder_edges(edges, "uar", seed=7)
-    assert not np.array_equal(out, edges)
-
-
-def test_reorder_rbfs_explores_neighborhoods():
-    """Under RBFS, consecutive edges share endpoints far more often than UAR."""
-    edges = generate("web-SF", scale=0.1)
-
-    def adjacency_rate(e):
-        hits = 0
-        for i in range(1, len(e)):
-            if set(e[i]) & set(e[i - 1]):
-                hits += 1
-        return hits / (len(e) - 1)
-
-    rbfs = reorder_edges(edges, "rbfs", seed=8).tolist()
-    uar = reorder_edges(edges, "uar", seed=8).tolist()
-    assert adjacency_rate(rbfs) > 2 * adjacency_rate(uar)
-
-
-def test_reorder_unknown_raises():
-    edges = generate("web-SF", scale=0.05)
-    with pytest.raises(ValueError):
-        reorder_edges(edges, "sorted")
 
 
 @pytest.mark.parametrize("name", DATASETS)
