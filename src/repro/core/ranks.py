@@ -5,8 +5,9 @@ The paper instantiates the rank function as ``r = f(w) = w / u`` with
 
     P[r > tau] = min(1, w / tau)     (tau > 0; 1 when tau == 0).
 
-``contribution`` is the Horvitz–Thompson term both weighted samplers (WSD's
-Algorithm 2 and GPS/GPS-A) add or subtract per event.
+``contribution`` is the Horvitz–Thompson term WSD's Algorithm 2 adds or
+subtracts per event; GPS and GPS-A are WSD with their own deletion rule and
+use it the same way.
 """
 from __future__ import annotations
 

@@ -15,25 +15,64 @@ The estimator (Algorithm 2) is updated *before* the reservoir for every
 event: on insertion of ``e`` it adds, and on deletion subtracts,
 ``Σ_J Π_{e'∈J\\e} 1 / P[r(e') > tau_q]`` over pattern instances ``J`` formed
 by ``e`` with currently sampled edges.
+
+WSD is the only weighted sampler: GPS and GPS-A (``core.gps``) are WSD with
+their own deletion rule, so ``_insert`` is the one insertion path.
+
+Ranks are ``w / (1.0 - u)`` with ``u`` replayed from ``self.rng``'s raw
+blocks by ``draws.Draws``: the same doubles, in the same order, as
+successive scalar ``random()`` calls. WSD draws nothing else from
+``self.rng``, so every rank is bit-identical to ``ranks.rank(w, self.rng)``,
+without a scalar generator call per insertion.
 """
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
+
+from ..draws import Draws
 from .ranks import contribution
-from .weighted import WeightedSampler
+from .reservoir import Reservoir
 from .weights import WeightContext, new_context
 
 __all__ = ["WSD"]
 
 
-class WSD(WeightedSampler):
+class WSD:
     """WSD sampler + estimator. ``weight_fn`` distinguishes WSD-H / WSD-L."""
 
-    def __init__(self, M, pattern, weight_fn, seed=0) -> None:
-        super().__init__(M, pattern, weight_fn, seed)
+    def __init__(
+        self,
+        M: int,
+        pattern: str,
+        weight_fn: Callable[[WeightContext], float],
+        seed: int = 0,
+    ) -> None:
+        self.pattern = pattern
+        self.weight_fn = weight_fn
+        self.rng = np.random.default_rng(seed)
+        self._random = Draws(self.rng).random
+        self.res = Reservoir(M)
+        self.estimate = 0.0
+        self.t = 0
         self.tau_p = 0.0
         self.tau_q = 0.0
 
     # -- event processing --------------------------------------------------
+    def process(self, op: int, u: int, v: int) -> None:
+        self.t += 1
+        if op > 0:
+            self._insert(u, v)
+        else:
+            self._delete(u, v)
+
+    def _rank(self, w: float) -> float:
+        """``ranks.rank(w, self.rng)``, with ``u`` from the replayed block."""
+        if w <= 0:
+            raise ValueError(f"edge weight must be positive, got {w}")
+        return w / (1.0 - self._random())
+
     def _insert(self, u: int, v: int) -> None:
         res = self.res
         key = (u, v) if u < v else (v, u)

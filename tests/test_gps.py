@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.gps import GPS, GPSA
 from repro.core.weights import heuristic_weight, uniform_weight
+from repro.core.wsd import WSD
 from repro.exact.incremental import truth_trajectory
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
+from repro.harness.config import BENCH
 
 
 def _run(sampler, stream):
@@ -33,18 +35,18 @@ def test_gps_keeps_top_M_ranks(ins_stream):
     _run(s, ins_stream)
     assert len(s.res) == 50
     min_kept = min(rec.rank for rec in s.res.records.values())
-    assert min_kept >= s.z_star, "reservoir holds the top-M ranks"
+    assert min_kept >= s.tau_q, "reservoir holds the top-M ranks"
 
 
-def test_gps_z_star_monotone(ins_stream):
+def test_gps_tau_q_monotone(ins_stream):
     s = GPS(50, "triangle", uniform_weight, 0)
     last = 0.0
     for op, u, v in zip(
         ins_stream["op"].tolist(), ins_stream["u"].tolist(), ins_stream["v"].tolist()
     ):
         s.process(op, u, v)
-        assert s.z_star >= last
-        last = s.z_star
+        assert s.tau_q >= last
+        last = s.tau_q
 
 
 def test_gps_rejects_deletions(dyn_stream):
@@ -116,3 +118,70 @@ def test_gps_exact_with_full_memory(ins_stream):
     _, truth = truth_trajectory(ins_stream, "triangle", 10**9)
     s = _run(GPS(len(ins_stream) + 1, "triangle", uniform_weight, 0), ins_stream)
     assert s.estimate == truth[-1]
+
+
+def _recording(cls):
+    """``cls`` that keeps every rank ``_rank`` draws."""
+
+    class Recording(cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.drawn = []
+
+        def _rank(self, w):
+            r = super()._rank(w)
+            self.drawn.append(r)
+            return r
+
+    return Recording
+
+
+def _largest_discarded(s) -> float:
+    held = {rec.rank for rec in s.res.records.values()}
+    return max((r for r in s.drawn if r not in held), default=0.0)
+
+
+@pytest.fixture(scope="module")
+def tx_streams():
+    """soc-TX at scale 0.1 with the table configs' deletion parameters. With
+    stream seed 0 the massive stream deletes (one burst of 427 deletions
+    after insertion 856); at this scale many seeds' massive streams do not."""
+    edges = generate("soc-TX", scale=0.1)
+    kw = dict(alpha=BENCH.alpha, beta_m=BENCH.beta_m, beta_l=BENCH.beta_l, seed=0)
+    streams = {sc: make_stream(edges, sc, **kw) for sc in ("insertion-only", "light", "massive")}
+    assert (streams["massive"]["op"] < 0).any()
+    return streams
+
+
+@pytest.mark.parametrize("pattern", ["wedge", "triangle"])
+@pytest.mark.parametrize(
+    "cls, scenario", [(GPS, "insertion-only"), (GPSA, "light"), (GPSA, "massive")]
+)
+def test_tau_q_is_largest_discarded_rank(tx_streams, cls, scenario, pattern):
+    """GPS never removes an edge and GPS-A only tags one, so WSD's insertion
+    path keeps ``tau_q`` at GPS's z*, the largest rank discarded so far,
+    after every event; Cases 2.1, 2.2 and 2.3 all fire on this stream."""
+    stream = tx_streams[scenario]
+    s = _recording(cls)(60, pattern, heuristic_weight, 0)
+    cases = {"2.1": 0, "2.2": 0, "2.3": 0}
+    for op, u, v in zip(stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist()):
+        key = (u, v) if u < v else (v, u)
+        full, fresh, tau_q = s.res.full, key not in s.res.records, s.tau_q
+        s.process(op, u, v)
+        if op > 0 and full and fresh:
+            case = "2.1" if key in s.res.records else "2.2" if s.tau_q != tau_q else "2.3"
+            cases[case] += 1
+        assert s.tau_q == _largest_discarded(s), f"event {s.t}"
+    assert all(cases.values()), cases
+
+
+def test_wsd_tau_q_is_not_largest_discarded_rank(tx_streams):
+    """The identity above is not vacuous: WSD's Case 3 removals and Case 1.2
+    rejects discard ranks that ``tau_q`` does not track."""
+    stream = tx_streams["massive"]
+    s = _recording(WSD)(60, "triangle", heuristic_weight, 0)
+    for op, u, v in zip(stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist()):
+        s.process(op, u, v)
+        if s.tau_q != _largest_discarded(s):
+            return
+    pytest.fail("WSD's tau_q tracked every discarded rank")

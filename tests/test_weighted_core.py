@@ -1,7 +1,7 @@
-"""The weighted-sampler core: ranks drawn from replayed raw blocks must
-be bit-identical to scalar ``ranks.rank(w, default_rng(seed))`` draws, across
-block refills, for WSD and GPS/GPS-A. WSD-L training runs plain WSD, so its
-ranks are covered by the WSD cases."""
+"""WSD's rank draw: ranks drawn from replayed raw blocks must be
+bit-identical to scalar ``ranks.rank(w, default_rng(seed))`` draws, across
+block refills, for WSD and for GPS/GPS-A (WSD with their own deletion rule).
+WSD-L training runs plain WSD, so its ranks are covered by the WSD cases."""
 import numpy as np
 import pytest
 
@@ -48,8 +48,7 @@ def _state(sampler) -> tuple:
     recs = sampler.res.records
     return (
         sampler.estimate,
-        getattr(sampler, "tau_q", None),
-        getattr(sampler, "z_star", None),
+        sampler.tau_q,
         sorted((k, r.weight, r.rank, r.t, r.tagged) for k, r in recs.items()),
     )
 
