@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..baselines.thinkd import ThinkD
-from ..baselines.triest import Triest
+from ..baselines.random_pairing import ThinkD, Triest
 from ..baselines.wrs import WRS
 from ..core.gps import GPS, GPSA
 from ..core.weights import heuristic_weight, uniform_weight

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from pyspark.errors import StreamingQueryException
 
-from repro.baselines.thinkd import ThinkD
+from repro.baselines.random_pairing import ThinkD
 from repro.core.runner import run_trial
 from repro.core.weights import heuristic_weight
 from repro.core.wsd import WSD

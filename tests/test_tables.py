@@ -5,6 +5,8 @@ import os
 import pandas as pd
 import pytest
 
+from repro.graphs.generators import generate
+from repro.graphs.streams import make_stream
 from repro.harness.config import TEST, ExpConfig
 from repro.harness.reporting import format_markdown, pivot_metric, save_table
 from repro.harness.tables import (
@@ -42,8 +44,14 @@ def test_table_main_shape(spark, tmp_path):
 
 
 def test_table_main_massive(spark, tmp_path):
+    cfg = CFG.with_(alpha=1e-3)
+    stream = make_stream(
+        generate("soc-TW", scale=cfg.scale), "massive", alpha=cfg.alpha,
+        beta_m=cfg.beta_m, seed=cfg.stream_seed,
+    )
+    assert (stream["op"] < 0).any()
     df = table_main(
-        spark, "wedge", "massive", CFG,
+        spark, "wedge", "massive", cfg,
         datasets=["soc-TW"], policy_dir=tmp_path, train_cfg=TRAIN,
         algos=["WSD-H", "Triest"],
     )

@@ -32,9 +32,12 @@ class ScalarGPSA(GPSA):
 
 
 def _stream(scenario: str) -> np.ndarray:
-    stream = make_stream(generate("soc-TW", scale=0.08), scenario, beta_l=0.2, seed=3)
+    stream = make_stream(
+        generate("soc-TW", scale=0.08), scenario, alpha=1e-3, beta_l=0.2, seed=3
+    )
     # Every insertion draws one rank: more than two refills must happen.
     assert int((stream["op"] > 0).sum()) > 2 * draws.BLOCK + 1
+    assert (stream["op"] < 0).any() == (scenario != "insertion-only")
     return stream
 
 
