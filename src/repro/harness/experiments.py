@@ -4,6 +4,7 @@ table. ``python -m repro.harness.tables`` rebuilds it after every run; the
 section headings are the table registry's titles."""
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 __all__ = ["build_experiments"]
@@ -133,7 +134,7 @@ HEADER = """\
 
 Generated by ``python -m repro.harness.tables`` from ``results/``, which the
 same command regenerates first. All measured numbers
-are means over 12 sampling repetitions at the reduced scale documented in
+are means over %%N_RUNS%% sampling repetitions at the reduced scale documented in
 DESIGN.md §4 (graphs ~5–25k edges, M = 5% of |E| — 15% for 4-cliques — α=3e-4,
 β_m=0.5, β_l=0.2); the paper uses 100 repetitions on graphs of 2.99M–265M
 edges with M=200k, so **absolute error magnitudes are not comparable — the
@@ -250,12 +251,24 @@ def _read(path: Path) -> str | None:
     return text
 
 
+def _n_runs(tables: dict, results_dir: Path) -> str:
+    """The sampling repetitions behind the measured means: every distinct
+    ``n_runs`` in the tables' tidy results, joined by "/"."""
+    runs = set()
+    for tid in tables:
+        path = results_dir / f"{tid}_tidy.json"
+        if path.exists():
+            runs |= {row["n_runs"] for row in json.loads(path.read_text()) if "n_runs" in row}
+    return "/".join(map(str, sorted(runs))) or "no"
+
+
 def build_experiments(tables: dict, results_dir: Path) -> str:
     """EXPERIMENTS.md's text. Per registry entry (``tables`` maps an id to a
     ``harness.tables.Table``), in id order: its title, the paper's numbers,
     the measured pivots (the tidy table where there are none) and the shape
     check."""
-    parts = [HEADER.replace("%%SUMMARY%%", SUMMARY.strip())]
+    header = HEADER.replace("%%N_RUNS%%", _n_runs(tables, results_dir))
+    parts = [header.replace("%%SUMMARY%%", SUMMARY.strip())]
     for tid, table in sorted(tables.items()):
         parts.append(f"\n## {table.title}\n")
         if tid in PAPER:

@@ -30,8 +30,10 @@ def make_sampler(
     policy: LearnedPolicy | dict | None = None,
     wr_ratio: float = 0.1,
 ):
-    """Instantiate algorithm ``name``. ``policy`` (a LearnedPolicy or its
-    raw param dict, for Spark-closure friendliness) is required for WSD-L."""
+    """Instantiate algorithm ``name``. ``policy`` is required for WSD-L: a
+    LearnedPolicy (as the paper tables broadcast it to the Spark trials) or
+    its raw parameter dict (``W``, ``b`` and optionally ``pattern`` and
+    ``variant``)."""
     if name == "WSD-L":
         if policy is None:
             raise ValueError("WSD-L requires a trained policy")

@@ -1,27 +1,30 @@
-"""The paper's Tables I–XIII: one experiment driver per family of Section V,
-a registry mapping each table id to its driver call, title and pivots, and
-the command that regenerates them::
+"""The paper's Tables I–XIII: a registry mapping each table id to its cells
+(or, for Tables I/IV/XI, its driver call), title and pivots, one driver for
+every Monte-Carlo table, and the command that regenerates them::
 
     python -m repro.harness.tables table03 table09   # or: all
     python -m repro.harness.tables all --scale 0.4 --n-runs 100
 
-Each driver returns a tidy pandas DataFrame whose rows correspond to the
-paper's table cells (ARE/MARE in %, time in seconds per trial). The command
-writes every table's tidy frame and paper-layout pivots to ``results/`` and
-then rebuilds EXPERIMENTS.md from ``results/``. Both paths are rooted at the
+A Monte-Carlo table is a list of cells, each one (deletion scenario, test
+graph, pattern) with its columns; ``table_cells`` runs every column's trials
+on every cell and returns a tidy pandas DataFrame whose rows are the paper's
+table cells (ARE/MARE in %, time in seconds per trial). The command writes
+every table's tidy frame and paper-layout pivots to ``results/`` and then
+rebuilds EXPERIMENTS.md from ``results/``. Both paths are rooted at the
 source checkout, so the package must be installed editable (``pip install
 -e .``); the command exits with an error otherwise.
 
-Policies for WSD-L are trained (or loaded from cache) on the Table I
-*training* graph of each dataset's category, under the same deletion
-scenario and pattern as the experiment — exactly the paper's protocol.
+Policies for WSD-L are trained in the run that uses them, once per
+(training graph, scenario, pattern, variant), on the Table I *training*
+graph of each dataset's category under the same deletion scenario and
+pattern as the experiment — exactly the paper's protocol.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,57 +47,30 @@ __all__ = [
     "TABLES",
     "Table",
     "dataset_stats",
-    "table_main",
-    "table_transfer",
+    "main_cells",
+    "transfer_cells",
+    "ablation_cells",
+    "table_cells",
     "table_training",
-    "table_ablation",
     "run_tables",
 ]
 
 ROOT = Path(__file__).resolve().parents[3]
 RESULTS_DIR = ROOT / "results"
-POLICY_DIR = RESULTS_DIR / "policies"
 
 TEST_GRAPHS = ["cit-PT", "com-YT", "soc-TW", "web-GL", "synthetic"]
 TRAIN_GRAPHS = ["cit-HE", "com-DB", "soc-TX", "web-SF", "synthetic-train"]
 # the paper's 4-clique tables omit soc-TW (too expensive); we follow suit
 TEST_GRAPHS_4CLIQUE = ["cit-PT", "com-YT", "web-GL", "synthetic"]
+# the test graphs of the transferability and ablation tables
+TEST_GRAPHS_REAL = ("cit-PT", "com-YT", "soc-TW", "web-GL")
 
-
-def _policy_dict(policy) -> dict:
-    return {
-        "W": policy.params["W"],
-        "b": policy.params["b"],
-        "pattern": policy.pattern,
-        "variant": policy.variant,
-    }
-
-
-def _cell(
-    spark, ds: str, scenario: str, pattern: str, cfg: ExpConfig, spec
-) -> tuple[pd.DataFrame, dict]:
-    """The ``spec`` algorithms' trials on one test graph: the aggregated rows
-    with a leading ``graph`` column, and the cell's final truth, M and
-    stream length."""
-    edges = generate(ds, scale=cfg.scale)
-    stream = make_stream(
-        edges,
-        scenario,
-        alpha=cfg.alpha,
-        beta_m=cfg.beta_m,
-        beta_l=cfg.beta_l,
-        seed=cfg.stream_seed,
-    )
-    M = cfg.reservoir_size(len(edges))
-    ck = cfg.ckpt_every(len(stream))
-    _, truth = truth_trajectory(stream, pattern, ck)
-    agg = trial_frame(
-        spark, stream, pattern, M, spec,
-        n_runs=cfg.n_runs, ckpt_every=ck, mare_floor=cfg.mare_floor,
-        wr_ratio=cfg.wr_ratio, truth=truth,
-    )
-    agg.insert(0, "graph", ds)
-    return agg, {"truth": truth[-1], "M": M, "events": len(stream)}
+# One column of a Monte-Carlo table: (label, algorithm, policy), where the
+# policy is None or the WSD-L policy's (training graph, variant), and a
+# training graph of None is the test graph's own (``TRAIN_OF``).
+Column = tuple[str, str, tuple[str | None, str] | None]
+# One cell row of a Monte-Carlo table: (scenario, test graph, pattern, columns).
+Cell = tuple[str, str, str, list[Column]]
 
 
 def dataset_stats(cfg: ExpConfig) -> pd.DataFrame:
@@ -115,160 +91,157 @@ def dataset_stats(cfg: ExpConfig) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def table_main(
-    spark: SparkSession,
+def main_cells(
     pattern: str,
     scenario: str,
-    cfg: ExpConfig,
-    *,
-    policy_dir: str | Path,
-    datasets: list[str] | None = None,
-    train_cfg: TrainConfig | None = None,
-    algos: list[str] | None = None,
-) -> pd.DataFrame:
+    datasets: Sequence[str] | None = None,
+    algos: Sequence[str] = ALGOS_DYNAMIC,
+) -> list[Cell]:
     """Tables II/III/VII (massive), VIII/IX/X (light) and VI (insertion-only):
-    ARE, MARE and per-trial runtime of every algorithm on every dataset."""
+    every algorithm on every dataset."""
     if datasets is None:
         datasets = TEST_GRAPHS_4CLIQUE if pattern == "4clique" else TEST_GRAPHS
-    algos = algos or ALGOS_DYNAMIC
-    out = []
-    for ds in datasets:
-        spec = []
-        for name in algos:
-            pol = None
-            if name == "WSD-L":
-                policy, _ = get_or_train_policy(
-                    policy_dir, TRAIN_OF[ds], scenario, pattern, train_cfg
-                )
-                pol = _policy_dict(policy)
-            spec.append((name, name, pol))
-        agg, extra = _cell(spark, ds, scenario, pattern, cfg, spec)
-        out.append(agg.assign(**extra))
-    return pd.concat(out, ignore_index=True)
+    columns = [(a, a, (None, "max") if a == "WSD-L" else None) for a in algos]
+    return [(scenario, ds, pattern, columns) for ds in datasets]
 
 
-def table_transfer(
-    spark: SparkSession,
+def transfer_cells(
     scenario: str,
+    test_graphs: Sequence[str] = TEST_GRAPHS_REAL,
+    train_graphs: Sequence[str] = TRAIN_GRAPHS,
+) -> list[Cell]:
+    """Tables V/XII: counting triangles with the policy trained on category
+    A's training graph applied to category B's test graph, plus the WSD-H
+    reference column."""
+    columns = [(tg, "WSD-L", (tg, "max")) for tg in train_graphs]
+    columns.append(("WSD-H", "WSD-H", None))
+    return [(scenario, ds, "triangle", columns) for ds in test_graphs]
+
+
+def ablation_cells(
+    scenarios: Sequence[str] = ("massive", "light"),
+    test_graphs: Sequence[str] = TEST_GRAPHS_REAL,
+) -> list[Cell]:
+    """Table XIII: WSD-L(Max) vs WSD-L(Avg) vs WSD-H on triangles."""
+    columns = [
+        ("WSD-L (Max)", "WSD-L", (None, "max")),
+        ("WSD-L (Avg)", "WSD-L", (None, "avg")),
+        ("WSD-H", "WSD-H", None),
+    ]
+    return [(sc, ds, "triangle", columns) for sc in scenarios for ds in test_graphs]
+
+
+def table_cells(
+    spark: SparkSession,
+    cells: list[Cell],
     cfg: ExpConfig,
     *,
-    policy_dir: str | Path,
+    scope: Hashable,
     train_cfg: TrainConfig | None = None,
-    test_graphs: list[str] | None = None,
-    train_graphs: list[str] | None = None,
 ) -> pd.DataFrame:
-    """Tables V/XII: ARE of counting triangles when the policy trained on
-    category A's training graph is applied to category B's test graph,
-    plus the WSD-H reference column."""
-    policies = {}
-    for tg in train_graphs or TRAIN_GRAPHS:
-        policy, _ = get_or_train_policy(policy_dir, tg, scenario, "triangle", train_cfg)
-        policies[tg] = _policy_dict(policy)
-    spec = [(tg, "WSD-L", pol) for tg, pol in policies.items()]
-    spec.append(("WSD-H", "WSD-H", None))
-    out = [
-        _cell(spark, ds, scenario, "triangle", cfg, spec)[0]
-        for ds in test_graphs or ["cit-PT", "com-YT", "soc-TW", "web-GL"]
-    ]
+    """ARE, MARE and per-trial runtime of every column on every cell, one
+    row per (cell, column), with the cell's final truth, M and stream
+    length. WSD-L policies come from ``get_or_train_policy`` in ``scope``,
+    so each is trained once however many cells and tables use it."""
+    out = []
+    for scenario, ds, pattern, columns in cells:
+        spec = []
+        for label, algo, pol in columns:
+            if pol is not None:
+                tg, variant = pol
+                pol, _ = get_or_train_policy(
+                    scope, tg or TRAIN_OF[ds], scenario, pattern, train_cfg, variant
+                )
+            spec.append((label, algo, pol))
+        edges = generate(ds, scale=cfg.scale)
+        stream = make_stream(
+            edges,
+            scenario,
+            alpha=cfg.alpha,
+            beta_m=cfg.beta_m,
+            beta_l=cfg.beta_l,
+            seed=cfg.stream_seed,
+        )
+        M = cfg.reservoir_size(len(edges))
+        ck = cfg.ckpt_every(len(stream))
+        _, truth = truth_trajectory(stream, pattern, ck)
+        agg = trial_frame(
+            spark, stream, pattern, M, spec,
+            n_runs=cfg.n_runs, ckpt_every=ck, mare_floor=cfg.mare_floor,
+            wr_ratio=cfg.wr_ratio, truth=truth,
+        )
+        agg.insert(0, "scenario", scenario)
+        agg.insert(1, "graph", ds)
+        out.append(agg.assign(truth=truth[-1], M=M, events=len(stream)))
     return pd.concat(out, ignore_index=True)
 
 
 def table_training(
     scenario: str,
     *,
-    policy_dir: str | Path,
+    scope: Hashable,
     train_cfg: TrainConfig | None = None,
     train_graphs: list[str] | None = None,
     patterns: list[str] | None = None,
 ) -> pd.DataFrame:
     """Tables IV/XI: training wall-time per (training graph, pattern), with
-    the number of worker processes that validated its candidates."""
+    the number of worker processes that validated its candidates, as
+    measured when this process trained the policy in ``scope``."""
     rows = []
     for g in train_graphs or ["cit-HE", "com-DB", "soc-TX", "web-SF"]:
         for pat in patterns or ["triangle", "wedge"]:
-            _, info = get_or_train_policy(policy_dir, g, scenario, pat, train_cfg)
+            _, info = get_or_train_policy(scope, g, scenario, pat, train_cfg)
             rows.append(
                 {
                     "graph": g,
                     "pattern": pat,
-                    "train_time_s": info.get("train_time_s"),
-                    "workers": info.get("workers"),
-                    "cached": info.get("cached", False),
+                    "train_time_s": info["train_time_s"],
+                    "workers": info["workers"],
                 }
             )
     return pd.DataFrame(rows)
-
-
-def table_ablation(
-    spark: SparkSession,
-    cfg: ExpConfig,
-    *,
-    policy_dir: str | Path,
-    train_cfg: TrainConfig | None = None,
-    scenarios: list[str] | None = None,
-    test_graphs: list[str] | None = None,
-) -> pd.DataFrame:
-    """Table XIII: WSD-L(Max) vs WSD-L(Avg) vs WSD-H on triangles, both
-    scenarios."""
-    out = []
-    for scenario in scenarios or ["massive", "light"]:
-        for ds in test_graphs or ["cit-PT", "com-YT", "soc-TW", "web-GL"]:
-            spec = []
-            for variant, label in (("max", "WSD-L (Max)"), ("avg", "WSD-L (Avg)")):
-                policy, _ = get_or_train_policy(
-                    policy_dir, TRAIN_OF[ds], scenario, "triangle", train_cfg, variant
-                )
-                spec.append((label, "WSD-L", _policy_dict(policy)))
-            spec.append(("WSD-H", "WSD-H", None))
-            agg, _ = _cell(spark, ds, scenario, "triangle", cfg, spec)
-            agg.insert(0, "scenario", scenario)
-            out.append(agg)
-    return pd.concat(out, ignore_index=True)
 
 
 # ---------------------------------------------------------------------------
 # The registry of paper tables
 # ---------------------------------------------------------------------------
 
-# A table's driver call: (config, policy dir, training config) -> tidy frame.
-Run = Callable[[ExpConfig, Path, TrainConfig], pd.DataFrame]
-
-
-@dataclass(frozen=True)
-class Table:
-    """One paper table: its driver call, title (the results' and
-    EXPERIMENTS.md's heading) and paper-layout pivots."""
-
-    title: str
-    run: Run
-    metrics: tuple[str, ...] = ("are", "mare", "time_s")  # one pivot each
-    index: str | list[str] = "graph"  # the pivots' row index
-    cfg: dict = field(default_factory=dict)  # ExpConfig overrides
-
-    def artifacts(self, tid: str) -> list[str]:
-        """Names of the files (without suffix) this table writes."""
-        return [f"{tid}_tidy"] + [f"{tid}_{m}" for m in self.metrics]
+# The driver call of a table without trials: (config, policy scope,
+# training config) -> tidy frame.
+Run = Callable[[ExpConfig, Hashable, TrainConfig], pd.DataFrame]
 
 
 def _spark() -> SparkSession:
     return SparkSession.builder.appName("repro-tables").getOrCreate()
 
 
-def _main(pattern: str, scenario: str, **kw) -> Run:
-    return lambda cfg, policy_dir, train_cfg: table_main(
-        _spark(), pattern, scenario, cfg, policy_dir=policy_dir, train_cfg=train_cfg, **kw
-    )
+@dataclass(frozen=True)
+class Table:
+    """One paper table: its Monte-Carlo cells (or, for a table without
+    trials, its driver call), title (the results' and EXPERIMENTS.md's
+    heading) and paper-layout pivots."""
 
+    title: str
+    cells: list[Cell] = field(default_factory=list)
+    driver: Run | None = None
+    metrics: tuple[str, ...] = ("are", "mare", "time_s")  # one pivot each
+    index: str | list[str] = "graph"  # the pivots' row index
+    cfg: dict = field(default_factory=dict)  # ExpConfig overrides
 
-def _transfer(scenario: str) -> Run:
-    return lambda cfg, policy_dir, train_cfg: table_transfer(
-        _spark(), scenario, cfg, policy_dir=policy_dir, train_cfg=train_cfg
-    )
+    def run(self, cfg: ExpConfig, scope: Hashable, train_cfg: TrainConfig) -> pd.DataFrame:
+        """The table's tidy frame, its policies trained in ``scope``."""
+        if self.driver is not None:
+            return self.driver(cfg, scope, train_cfg)
+        return table_cells(_spark(), self.cells, cfg, scope=scope, train_cfg=train_cfg)
+
+    def artifacts(self, tid: str) -> list[str]:
+        """Names of the files (without suffix) this table writes."""
+        return [f"{tid}_tidy"] + [f"{tid}_{m}" for m in self.metrics]
 
 
 def _training(scenario: str) -> Run:
-    return lambda cfg, policy_dir, train_cfg: table_training(
-        scenario, policy_dir=policy_dir, train_cfg=train_cfg
+    return lambda cfg, scope, train_cfg: table_training(
+        scenario, scope=scope, train_cfg=train_cfg
     )
 
 
@@ -278,61 +251,59 @@ _4CLIQUE = {"m_ratio": 0.15, "mare_floor": 10.0}
 TABLES: dict[str, Table] = {
     "table01": Table(
         "Table I: dataset statistics (proxy graphs)",
-        lambda cfg, policy_dir, train_cfg: dataset_stats(cfg),
+        driver=lambda cfg, scope, train_cfg: dataset_stats(cfg),
         metrics=(),
     ),
-    "table02": Table("Table II: counting wedges, massive deletion", _main("wedge", "massive")),
+    "table02": Table("Table II: counting wedges, massive deletion", main_cells("wedge", "massive")),
     "table03": Table(
-        "Table III: counting triangles, massive deletion", _main("triangle", "massive")
+        "Table III: counting triangles, massive deletion", main_cells("triangle", "massive")
     ),
     "table04": Table(
-        "Table IV: training time (massive deletion)", _training("massive"), metrics=()
+        "Table IV: training time (massive deletion)", driver=_training("massive"), metrics=()
     ),
     "table05": Table(
-        "Table V: transferability (massive deletion)", _transfer("massive"), metrics=("are",)
+        "Table V: transferability (massive deletion)", transfer_cells("massive"), metrics=("are",)
     ),
     "table06": Table(
         "Table VI: insertion-only scenario, triangles on cit-PT",
-        _main("triangle", "insertion-only", datasets=["cit-PT"], algos=ALGOS_INSERTION),
+        main_cells("triangle", "insertion-only", datasets=["cit-PT"], algos=ALGOS_INSERTION),
     ),
     "table07": Table(
         "Table VII: counting 4-cliques, massive deletion",
-        _main("4clique", "massive"),
+        main_cells("4clique", "massive"),
         cfg=_4CLIQUE,
     ),
-    "table08": Table("Table VIII: counting wedges, light deletion", _main("wedge", "light")),
-    "table09": Table("Table IX: counting triangles, light deletion", _main("triangle", "light")),
-    "table10": Table(
-        "Table X: counting 4-cliques, light deletion", _main("4clique", "light"), cfg=_4CLIQUE
+    "table08": Table("Table VIII: counting wedges, light deletion", main_cells("wedge", "light")),
+    "table09": Table(
+        "Table IX: counting triangles, light deletion", main_cells("triangle", "light")
     ),
-    "table11": Table("Table XI: training time (light deletion)", _training("light"), metrics=()),
+    "table10": Table(
+        "Table X: counting 4-cliques, light deletion", main_cells("4clique", "light"), cfg=_4CLIQUE
+    ),
+    "table11": Table(
+        "Table XI: training time (light deletion)", driver=_training("light"), metrics=()
+    ),
     "table12": Table(
-        "Table XII: transferability (light deletion)", _transfer("light"), metrics=("are",)
+        "Table XII: transferability (light deletion)", transfer_cells("light"), metrics=("are",)
     ),
     "table13": Table(
         "Table XIII: ablation on temporal state (Max vs Avg)",
-        lambda cfg, policy_dir, train_cfg: table_ablation(
-            _spark(), cfg, policy_dir=policy_dir, train_cfg=train_cfg
-        ),
+        ablation_cells(),
         metrics=("are",),
         index=["scenario", "graph"],
     ),
 }
 
 
-def run_tables(
-    ids: list[str],
-    cfg: ExpConfig,
-    *,
-    results_dir: Path = RESULTS_DIR,
-    policy_dir: Path = POLICY_DIR,
-) -> None:
+def run_tables(ids: list[str], cfg: ExpConfig, *, results_dir: Path = RESULTS_DIR) -> None:
     """Run each table and write its tidy frame and pivots to ``results_dir``,
-    printing one line per table with its wall seconds."""
+    printing one line per table with its wall seconds. The tables share
+    their WSD-L policies: each is trained once, by the first table that
+    needs it."""
     for tid in ids:
         table = TABLES[tid]
         t0 = time.perf_counter()
-        df = table.run(cfg.with_(**table.cfg), policy_dir, BENCH_TRAIN)
+        df = table.run(cfg.with_(**table.cfg), results_dir, BENCH_TRAIN)
         tidy, *pivots = table.artifacts(tid)
         save_table(df, tidy, results_dir, title=f"{table.title} (tidy)")
         for metric, name in zip(table.metrics, pivots):

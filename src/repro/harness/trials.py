@@ -8,17 +8,18 @@ one shuffle-free ``mapInPandas`` stage over ``spark.range(n_tasks)``, with
 every task gets the same mix of algorithms (±1 trial); each task reads the
 broadcast stream and ground truth once and runs its share one sequential
 kernel at a time. Every trial is seeded by ``seed0 + run`` alone, so its
-metrics do not depend on which task ran it. Metric aggregation is Spark SQL
-(and is cross-checked against the DuckDB oracle in tests).
+metrics do not depend on which task ran it. The per-trial rows are
+collected to the driver and aggregated in pandas (cross-checked against the
+DuckDB oracle in tests).
 """
 from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from ..core.runner import are, mare, run_trial
 from ..exact.incremental import truth_trajectory
+from ..rl.policy import LearnedPolicy
 from .factory import make_sampler
 
 __all__ = ["run_trials", "aggregate", "trial_frame"]
@@ -34,7 +35,7 @@ def run_trials(
     stream,
     pattern: str,
     M: int,
-    algos: list[tuple[str, str, dict | None]],
+    algos: list[tuple[str, str, LearnedPolicy | dict | None]],
     *,
     n_runs: int,
     ckpt_every: int,
@@ -46,10 +47,11 @@ def run_trials(
     """Run ``n_runs`` repetitions of each (label, algo, policy) over
     ``stream``; returns a Spark DataFrame of per-trial metrics.
 
-    ``algos`` entries are (display label, factory name, policy dict or
-    None). Ground truth is computed once on the driver (or passed in) and
-    broadcast with the stream. Each row's ``concurrency`` is the number of
-    fan-out tasks, which run at once, so ``time_s`` states its conditions.
+    ``algos`` entries are (display label, factory name, WSD-L policy or
+    None), the policy as ``make_sampler`` takes it. Ground truth is computed
+    once on the driver (or passed in) and broadcast with the stream. Each
+    row's ``concurrency`` is the number of fan-out tasks, which run at once,
+    so ``time_s`` states its conditions.
     """
     if truth is None:
         _, truth = truth_trajectory(stream, pattern, ckpt_every)
@@ -106,19 +108,16 @@ def run_trials(
 
 def aggregate(results: DataFrame) -> pd.DataFrame:
     """Mean metrics per algorithm label (the numbers the paper tabulates),
-    with the concurrency their ``time_s`` was measured under."""
-    out = (
-        results.groupBy("label")
-        .agg(
-            F.mean("are").alias("are"),
-            F.mean("mare").alias("mare"),
-            F.mean("time_s").alias("time_s"),
-            F.max("concurrency").alias("concurrency"),
-            F.count("run").alias("n_runs"),
-        )
-        .toPandas()
+    with the concurrency their ``time_s`` was measured under, grouped in
+    pandas on the driver."""
+    out = results.toPandas().groupby("label").agg(
+        are=("are", "mean"),
+        mare=("mare", "mean"),
+        time_s=("time_s", "mean"),
+        concurrency=("concurrency", "max"),
+        n_runs=("run", "count"),
     )
-    return out.sort_values("label").reset_index(drop=True)
+    return out.reset_index()
 
 
 def trial_frame(
@@ -126,7 +125,7 @@ def trial_frame(
     stream,
     pattern: str,
     M: int,
-    algos: list[tuple[str, str, dict | None]],
+    algos: list[tuple[str, str, LearnedPolicy | dict | None]],
     **kw,
 ) -> pd.DataFrame:
     """run_trials + aggregate in one call."""

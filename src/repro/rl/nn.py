@@ -3,8 +3,8 @@ available offline, and the paper's networks are tiny (actor: one linear
 layer + ReLU; critic: one 10-neuron hidden layer), so exact manual gradients
 are both feasible and fast.
 
-Parameters live in plain dicts of arrays so policies serialise to ``.npz``
-and ship into Spark workers as closures.
+Parameters live in plain dicts of arrays, so policies pickle into the Spark
+trial broadcast as plain data.
 """
 from __future__ import annotations
 

@@ -4,14 +4,12 @@ The actor is ``a = ReLU(W s + b) + 1`` (Eq. 27, with the paper's "+1 to
 avoid zero weights"). ``variant`` selects the temporal state aggregation of
 Eq. (20): ``"max"`` (WSD-L) or ``"avg"`` (the Table XIII ablation).
 
-Policies serialise to ``.npz`` so ``rl.train.get_or_train_policy`` can
-cache trained models between table runs; the Spark workers receive the
-parameters themselves.
+A policy is plain data (its actor parameters, pattern and variant), so the
+Spark trial fan-out broadcasts the ``LearnedPolicy`` itself.
 """
 from __future__ import annotations
 
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -69,23 +67,3 @@ class LearnedPolicy:
         already assumes)."""
         W, b = self.params["W"], self.params["b"]
         return make_learned_weight(partial(_actor, W[0], float(b[0])), self.variant)
-
-    # -- persistence -------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            path,
-            W=self.params["W"],
-            b=self.params["b"],
-            pattern=np.array(self.pattern),
-            variant=np.array(self.variant),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LearnedPolicy":
-        z = np.load(path, allow_pickle=False)
-        return cls(
-            {"W": z["W"], "b": z["b"]},
-            pattern=str(z["pattern"]),
-            variant=str(z["variant"]),
-        )

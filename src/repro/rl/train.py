@@ -16,21 +16,19 @@ available core; each score is the mean of its candidate's errors in seed
 order, so the scores and the selection do not depend on the pool size
 (DESIGN.md §3, "Not on Spark").
 
-``get_or_train_policy`` caches trained policies in a directory of the
-caller's choosing (the paper-table command uses the repository's untracked
-``results/policies/``), keyed by (dataset, scenario, pattern, variant) so
-every table reuses them; training wall-time and the validation pool size are
-recorded beside each policy for Tables IV / XI.
+``get_or_train_policy`` trains each policy once per scope in the process
+that uses it, keyed by (scope, dataset, scenario, pattern, variant,
+``TrainConfig``), so every table of a run reuses it; its info holds the
+training wall-time and validation pool size that Tables IV / XI report.
 """
 from __future__ import annotations
 
-import json
 import os
 import time
+from collections.abc import Hashable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
-from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +41,7 @@ from ..graphs.streams import make_stream
 from .ddpg import DDPG
 from .policy import LearnedPolicy, heuristic_init_params
 
-__all__ = ["TrainConfig", "train_policy", "get_or_train_policy", "policy_path"]
+__all__ = ["TrainConfig", "train_policy", "get_or_train_policy"]
 
 # Base of the training seeds: streams, DDPG runs, episodes and the
 # validation stream.
@@ -58,7 +56,7 @@ SIGMA_MIN = 0.2
 M_RATIO = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     iters: int = 600            # gradient updates (paper: 1000)
     n_streams: int = 3          # training streams (paper: 10)
@@ -305,28 +303,27 @@ def _validate(
     return scores, workers
 
 
-def policy_path(cache_dir: str | Path, dataset: str, scenario: str, pattern: str, variant: str) -> Path:
-    return Path(cache_dir) / f"{dataset}_{scenario}_{pattern}_{variant}.npz"
+# The policies ``get_or_train_policy`` has trained in this process, by
+# (scope, dataset, scenario, pattern, variant, TrainConfig).
+_trained: dict[tuple, tuple[LearnedPolicy, dict]] = {}
 
 
 def get_or_train_policy(
-    cache_dir: str | Path,
+    scope: Hashable,
     dataset: str,
     scenario: str,
     pattern: str,
     cfg: TrainConfig | None = None,
     variant: str = "max",
 ) -> tuple[LearnedPolicy, dict]:
-    """Load a cached policy or train and cache one. ``info['train_time_s']``
-    is persisted alongside so Tables IV/XI can report cached timings."""
-    path = policy_path(cache_dir, dataset, scenario, pattern, variant)
-    meta = path.with_suffix(".json")
-    if path.exists():
-        info = json.loads(meta.read_text()) if meta.exists() else {"train_time_s": None}
-        info["cached"] = True
-        return LearnedPolicy.load(path), info
-    policy, info = train_policy(dataset, scenario, pattern, cfg, variant)
-    policy.save(path)
-    meta.write_text(json.dumps({k: v for k, v in info.items() if k != "episode_returns"}))
-    info["cached"] = False
-    return policy, info
+    """``train_policy``'s result, trained on the first call for these
+    arguments in ``scope`` and returned again on later ones; nothing is
+    written to ``scope``. ``info['cached']`` says whether this call found it
+    trained."""
+    cfg = cfg or TrainConfig()
+    key = (scope, dataset, scenario, pattern, variant, cfg)
+    cached = key in _trained
+    if not cached:
+        _trained[key] = train_policy(dataset, scenario, pattern, cfg, variant)
+    policy, info = _trained[key]
+    return policy, {**info, "cached": cached}

@@ -1,5 +1,7 @@
 """Training episodes of the weight MDP (Eqs. 19–26) and learned-policy
 tests."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,15 +110,6 @@ def test_policy_heuristic_init_equals_wsdh(stream):
     assert a.estimate == pytest.approx(b.estimate)
 
 
-def test_policy_save_load_roundtrip(tmp_path):
-    pol = LearnedPolicy(heuristic_init_params("wedge"), "wedge", variant="avg")
-    p = tmp_path / "pol.npz"
-    pol.save(p)
-    back = LearnedPolicy.load(p)
-    assert back.pattern == "wedge" and back.variant == "avg"
-    np.testing.assert_array_equal(back.params["W"], pol.params["W"])
-
-
 def test_policy_shape_validation():
     with pytest.raises(ValueError):
         LearnedPolicy({"W": np.zeros((1, 4)), "b": np.zeros(1)}, "triangle")
@@ -152,7 +145,23 @@ def test_get_or_train_policy_caches(tmp_path):
     p2, i2 = get_or_train_policy(tmp_path, "soc-TX", "light", "triangle", TINY)
     assert i2["cached"]
     np.testing.assert_array_equal(p1.params["W"], p2.params["W"])
-    assert i2["train_time_s"] is not None
+    assert i2["train_time_s"] == i1["train_time_s"]
+    assert not any(tmp_path.iterdir())  # the scope is a key, not a directory
+    _, i3 = get_or_train_policy(tmp_path / "other", "soc-TX", "light", "triangle", TINY)
+    assert not i3["cached"]
+
+
+def test_get_or_train_policy_keys_on_train_config(tmp_path):
+    """A policy trained at one ``TrainConfig`` is not returned for another:
+    the second call trains, and gets what ``train_policy`` gives at its own
+    config."""
+    longer = replace(TINY, iters=60)
+    get_or_train_policy(tmp_path, "soc-TX", "light", "triangle", TINY)
+    pol, info = get_or_train_policy(tmp_path, "soc-TX", "light", "triangle", longer)
+    assert not info["cached"] and info["updates"] == 60
+    fresh, _ = train_policy("soc-TX", "light", "triangle", longer)
+    for k in ("W", "b"):
+        np.testing.assert_array_equal(pol.params[k], fresh.params[k])
 
 
 @pytest.mark.parametrize("d", [5, 6, 9])

@@ -3,11 +3,13 @@ its registry, EXPERIMENTS.md and the streaming demo job."""
 import importlib.util
 from pathlib import Path
 
+import pandas as pd
 import pytest
 
 from repro.harness import tables
 from repro.harness.config import BENCH, TEST
 from repro.harness.experiments import build_experiments
+from repro.harness.reporting import save_table
 from repro.harness.tables import TABLES, run_tables
 
 ROOT = Path(__file__).parent.parent
@@ -51,7 +53,7 @@ def test_cli_unknown_id_lists_valid_ids(capsys):
 
 
 def test_table01_job_runs(tmp_path, capsys):
-    run_tables(["table01"], TEST.with_(scale=0.03), results_dir=tmp_path, policy_dir=tmp_path)
+    run_tables(["table01"], TEST.with_(scale=0.03), results_dir=tmp_path)
     assert "[table01]" in capsys.readouterr().out
     assert (tmp_path / "table01_tidy.json").exists()
     title = (tmp_path / "table01_tidy.md").read_text().splitlines()[0]
@@ -69,3 +71,10 @@ def test_registry_matches_committed_results():
 def test_experiments_md_matches_results():
     text = build_experiments(TABLES, ROOT / "results")
     assert text == (ROOT / "EXPERIMENTS.md").read_text()
+
+
+def test_experiments_md_states_n_runs_of_results(tmp_path):
+    save_table(pd.DataFrame({"graph": ["cit-PT"], "label": ["WSD-H"], "n_runs": [5]}),
+               "table03_tidy", tmp_path)
+    text = build_experiments(TABLES, tmp_path)
+    assert "are means over 5 sampling repetitions" in text

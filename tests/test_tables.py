@@ -11,16 +11,23 @@ from repro.harness.config import TEST, ExpConfig
 from repro.harness.reporting import format_markdown, pivot_metric, save_table
 from repro.harness.tables import (
     TABLES,
+    ablation_cells,
     dataset_stats,
-    table_ablation,
-    table_main,
+    main_cells,
+    table_cells,
     table_training,
-    table_transfer,
+    transfer_cells,
 )
+from repro.rl import train
+from repro.rl.policy import LearnedPolicy, heuristic_init_params
 from repro.rl.train import TrainConfig
 
 CFG = TEST.with_(scale=0.05, n_runs=2, n_ckpt=6)
 TRAIN = TrainConfig(iters=20, n_streams=1, scale=0.04, M=40, batch=16, update_every=2)
+COLUMNS = [
+    "scenario", "graph", "label", "are", "mare", "time_s", "concurrency", "n_runs",
+    "truth", "M", "events",
+]
 
 
 def test_dataset_stats_table():
@@ -31,15 +38,14 @@ def test_dataset_stats_table():
 
 
 def test_table_main_shape(spark, tmp_path):
-    df = table_main(
-        spark, "triangle", "light", CFG,
-        datasets=["cit-PT", "com-YT"], policy_dir=tmp_path, train_cfg=TRAIN,
+    df = table_cells(
+        spark, main_cells("triangle", "light", datasets=["cit-PT", "com-YT"]), CFG,
+        scope=tmp_path, train_cfg=TRAIN,
     )
     assert set(df["graph"]) == {"cit-PT", "com-YT"}
     assert set(df["label"]) == {"WSD-L", "WSD-H", "GPS-A", "Triest", "ThinkD", "WRS"}
     assert len(df) == 12
-    for col in ["are", "mare", "time_s", "concurrency", "truth", "M", "events"]:
-        assert col in df.columns
+    assert list(df.columns) == COLUMNS
     assert df["are"].notna().all()
 
 
@@ -50,18 +56,17 @@ def test_table_main_massive(spark, tmp_path):
         beta_m=cfg.beta_m, seed=cfg.stream_seed,
     )
     assert (stream["op"] < 0).any()
-    df = table_main(
-        spark, "wedge", "massive", cfg,
-        datasets=["soc-TW"], policy_dir=tmp_path, train_cfg=TRAIN,
-        algos=["WSD-H", "Triest"],
+    df = table_cells(
+        spark, main_cells("wedge", "massive", datasets=["soc-TW"], algos=["WSD-H", "Triest"]),
+        cfg, scope=tmp_path, train_cfg=TRAIN,
     )
     assert len(df) == 2
 
 
 def test_table_main_4clique_excludes_soctw(spark, tmp_path):
-    df = table_main(
-        spark, "4clique", "light", CFG.with_(n_runs=1),
-        policy_dir=tmp_path, train_cfg=TRAIN, algos=["WSD-H"],
+    df = table_cells(
+        spark, main_cells("4clique", "light", algos=["WSD-H"]), CFG.with_(n_runs=1),
+        scope=tmp_path, train_cfg=TRAIN,
     )
     assert "soc-TW" not in set(df["graph"])
     assert set(df["graph"]) == {"cit-PT", "com-YT", "web-GL", "synthetic"}
@@ -74,39 +79,64 @@ def test_table_insertion_only(spark, tmp_path):
 
 
 def test_table_transfer(spark, tmp_path):
-    df = table_transfer(
-        spark, "light", CFG, policy_dir=tmp_path, train_cfg=TRAIN,
-        test_graphs=["cit-PT", "web-GL"], train_graphs=["cit-HE", "web-SF"],
+    df = table_cells(
+        spark,
+        transfer_cells("light", test_graphs=["cit-PT", "web-GL"], train_graphs=["cit-HE", "web-SF"]),
+        CFG, scope=tmp_path, train_cfg=TRAIN,
     )
     assert set(df["graph"]) == {"cit-PT", "web-GL"}
     assert set(df["label"]) == {"cit-HE", "web-SF", "WSD-H"}
+    assert list(df.columns) == COLUMNS
 
 
 def test_table_training(tmp_path):
     df = table_training(
-        "light", policy_dir=tmp_path, train_cfg=TRAIN,
+        "light", scope=tmp_path, train_cfg=TRAIN,
         train_graphs=["cit-HE"], patterns=["triangle", "wedge"],
     )
     assert len(df) == 2
     assert (df["train_time_s"] > 0).all()
     assert df["workers"].between(1, len(os.sched_getaffinity(0))).all()
-    assert not df["cached"].any()
+    assert "cached" not in df.columns
+    # A second call in the scope reports the training this process measured.
     again = table_training(
-        "light", policy_dir=tmp_path, train_cfg=TRAIN,
+        "light", scope=tmp_path, train_cfg=TRAIN,
         train_graphs=["cit-HE"], patterns=["triangle", "wedge"],
     )
-    assert again["cached"].all()
-    # The cached rows report the pool size recorded beside the policy.
-    assert again["workers"].tolist() == df["workers"].tolist()
+    pd.testing.assert_frame_equal(again, df)
 
 
 def test_table_ablation(spark, tmp_path):
-    df = table_ablation(
-        spark, CFG, policy_dir=tmp_path, train_cfg=TRAIN,
-        scenarios=["light"], test_graphs=["cit-PT"],
+    df = table_cells(
+        spark, ablation_cells(scenarios=["light"], test_graphs=["cit-PT"]), CFG,
+        scope=tmp_path, train_cfg=TRAIN,
     )
     assert set(df["label"]) == {"WSD-L (Max)", "WSD-L (Avg)", "WSD-H"}
     assert set(df["scenario"]) == {"light"}
+    assert list(df.columns) == COLUMNS
+
+
+def test_tables_in_one_scope_train_each_policy_once(spark, tmp_path, monkeypatch):
+    """Table V's cit-HE column and Table XIII's WSD-L (Max) on cit-PT are the
+    same policy: a run of both in one scope trains it once."""
+    calls = []
+
+    def fake_train(dataset, scenario, pattern, cfg, variant):
+        calls.append((dataset, scenario, pattern, variant))
+        policy = LearnedPolicy(heuristic_init_params(pattern), pattern, variant)
+        return policy, {"train_time_s": 0.0, "workers": 1}
+
+    monkeypatch.setattr(train, "train_policy", fake_train)
+    for cells in (
+        transfer_cells("light", test_graphs=["cit-PT"], train_graphs=["cit-HE", "web-SF"]),
+        ablation_cells(scenarios=["light"], test_graphs=["cit-PT"]),
+    ):
+        table_cells(spark, cells, CFG.with_(n_runs=1), scope=tmp_path, train_cfg=TRAIN)
+    assert sorted(calls) == [
+        ("cit-HE", "light", "triangle", "avg"),
+        ("cit-HE", "light", "triangle", "max"),
+        ("web-SF", "light", "triangle", "max"),
+    ]
 
 
 def test_reporting_roundtrip(tmp_path):

@@ -79,7 +79,7 @@ def test_trial_frame_aggregates_all_algos(spark, setting):
 
 
 def test_aggregate_matches_duckdb_oracle(spark, setting):
-    """The Spark SQL aggregation ``aggregate`` tabulates is itself
+    """The aggregation ``aggregate`` tabulates is itself
     oracle-checked, the concurrency each time_s was taken under included."""
     pdf = _fanout(spark, setting, ALGOS, 3).toPandas()
     assert_equivalent(
