@@ -1,9 +1,11 @@
 """Single-trial execution and error metrics (Section V-A).
 
-``run_trial`` feeds one stream through one sampler, recording the estimate at
-the same checkpoints the ground-truth trajectory was recorded at, and the
-kernel wall-time (stream processing only — stream generation and ground
-truth are excluded, as in the paper's running-time measurements).
+``run_trial`` is the one loop that feeds a stream, in arrival order, to a
+counter — a sampler in a trial, ``ExactCounter`` for the ground truth, WSD in
+WSD-L validation or a Structured-Streaming micro-batch — recording the
+estimate at ``checkpoints`` and the kernel wall-time (stream processing only
+— stream generation and ground truth are excluded, as in the paper's
+running-time measurements).
 
 Metrics (Section V-A):
 * ARE  = |X̂ - X| / X at the end of the stream;
@@ -12,13 +14,14 @@ Metrics (Section V-A):
 from __future__ import annotations
 
 import time
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from ..exact.incremental import checkpoints
+if TYPE_CHECKING:
+    import pandas as pd
 
-__all__ = ["Sampler", "run_trial", "are", "mare"]
+__all__ = ["Sampler", "checkpoints", "run_trial", "are", "mare"]
 
 
 class Sampler(Protocol):
@@ -27,11 +30,22 @@ class Sampler(Protocol):
     def process(self, op: int, u: int, v: int) -> None: ...
 
 
+def checkpoints(n_events: int, ckpt_every: int) -> np.ndarray:
+    """1-based event indices at which trajectories are recorded (always
+    includes the final event)."""
+    idx = np.arange(ckpt_every, n_events + 1, ckpt_every, dtype=np.int64)
+    if len(idx) == 0 or idx[-1] != n_events:
+        idx = np.append(idx, n_events)
+    return idx
+
+
 def run_trial(
-    stream: np.ndarray, sampler: Sampler, ckpt_every: int
+    stream: np.ndarray | pd.DataFrame, sampler: Sampler, ckpt_every: int
 ) -> dict:
-    """Run ``sampler`` over ``stream``; returns estimates at checkpoints,
-    the final estimate, and elapsed kernel seconds."""
+    """Run ``sampler`` over ``stream``, a table with ``op``/``u``/``v``
+    columns (a stream array or a micro-batch frame), in row order; returns
+    estimates at checkpoints, the final estimate, and elapsed kernel
+    seconds."""
     n = len(stream)
     idx = checkpoints(n, ckpt_every)
     ops = stream["op"].tolist()

@@ -33,6 +33,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from ..core.patterns import PATTERN_EDGES
+from ..core.runner import run_trial
 from ..core.weights import build_state
 from ..core.wsd import WSD
 from ..exact.incremental import ExactCounter, truth_trajectory
@@ -134,7 +135,7 @@ class _Exploration:
         ret = 0.0
 
         def error() -> float:
-            truth = exact.count
+            truth = exact.estimate
             return abs(smp.estimate - truth) / max(1.0, truth)
 
         def weight(ctx) -> float:
@@ -261,13 +262,10 @@ def _validation_error(job: tuple[int, int]) -> float:
     """Relative error of WSD with candidate ``c``'s actor, seeded by run
     ``s``, over the validation stream."""
     c, s = job
-    candidates, ops, us, vs, pattern, M, variant, target = _val_inputs
+    candidates, stream, pattern, M, variant, target = _val_inputs
     wfn = LearnedPolicy(candidates[c], pattern, variant).as_weight_fn()
-    smp = WSD(M, pattern, wfn, seed=5000 + s)
-    proc = smp.process
-    for o, u, v in zip(ops, us, vs):
-        proc(o, u, v)
-    return abs(smp.estimate - target) / max(1.0, abs(target))
+    est = run_trial(stream, WSD(M, pattern, wfn, seed=5000 + s), len(stream))["final"]
+    return abs(est - target) / max(1.0, abs(target))
 
 
 def _validate(
@@ -288,13 +286,9 @@ def _validate(
     order, so every score averages its candidate's errors in seed order."""
     jobs = [(c, s) for c in range(len(candidates)) for s in range(_VAL_RUNS)]
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    inputs = (
-        candidates, stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist(),
-        pattern, M, variant, target,
-    )
     with ProcessPoolExecutor(
-        workers, mp_context=get_context("fork"),
-        initializer=_init_validation, initargs=inputs,
+        workers, mp_context=get_context("fork"), initializer=_init_validation,
+        initargs=(candidates, stream, pattern, M, variant, target),
     ) as pool:
         errs = list(pool.map(_validation_error, jobs))
     scores = [

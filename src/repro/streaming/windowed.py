@@ -5,8 +5,11 @@ Streaming is the natural Spark host for it. Edge events are written as
 ordered micro-batch files (one file = one tumbling window of ``window_size``
 events), read back with a file-source ``readStream`` processing one file per
 trigger, and each micro-batch is fed — in event order — into the stateful
-WSD/baseline sampler held by the driver via ``foreachBatch``. One output row
-per window: (window id, last event index, estimate).
+WSD/baseline sampler held by the driver via ``foreachBatch``. A micro-batch
+costs one Spark job, its ``toPandas()`` collect; it is sorted by ``seq`` and
+checked in pandas, then fed through ``runner.run_trial``, the loop the batch
+kernel runs. One output row per window: (window, n_events, last_seq,
+estimate).
 
 A test asserts the streaming path is *bit-identical* to the batch kernel for
 the same seed: the operator sees the same events in the same order, so the
@@ -23,8 +26,9 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
+
+from ..core.runner import run_trial
 
 __all__ = ["write_event_files", "run_streaming_estimate"]
 
@@ -70,9 +74,9 @@ def write_event_files(stream: np.ndarray, out_dir: str | Path, window_size: int)
 
 def _check_batch(pdf: pd.DataFrame, window: int, first: int) -> None:
     """Raise unless the micro-batch ``pdf``, sorted by ``seq``, holds events
-    ``first, first + 1, …`` with every field set. A malformed JSON line reads
-    back as a row of nulls; a missing or repeated line breaks the run of
-    ``seq``."""
+    ``first, first + 1, …`` with every field set, ``op`` ±1 and ``u != v``.
+    A malformed JSON line reads back as a row of nulls; a missing or
+    repeated line breaks the run of ``seq``."""
     nulls = int(pdf[["seq", "op", "u", "v"]].isna().any(axis=1).sum())
     if nulls:
         raise RuntimeError(
@@ -86,6 +90,10 @@ def _check_batch(pdf: pd.DataFrame, window: int, first: int) -> None:
         raise RuntimeError(
             f"window {window}: expected seq {first + i}, got {int(seq[i])}"
         )
+    op, u, v = (pdf[c].to_numpy() for c in ("op", "u", "v"))
+    for what, bad in (("op not +1/-1", (op != 1) & (op != -1)), ("self-loop", u == v)):
+        if bad.any():
+            raise RuntimeError(f"window {window}: {what} at seq {int(seq[bad][0])}")
 
 
 def run_streaming_estimate(
@@ -108,22 +116,18 @@ def run_streaming_estimate(
     write_event_files(stream, in_dir, window_size)
 
     results: list[dict] = []
-    expected_next = {"seq": 0}  # in-order delivery guard
 
     def feed(batch_df, batch_id: int) -> None:
-        pdf = batch_df.orderBy(F.col("seq")).toPandas()
+        pdf = batch_df.toPandas().sort_values("seq", ignore_index=True)
         if pdf.empty:
             return
-        _check_batch(pdf, batch_id, expected_next["seq"])
-        for op, u, v in zip(pdf["op"], pdf["u"], pdf["v"]):
-            sampler.process(int(op), int(u), int(v))
-        expected_next["seq"] = int(pdf["seq"].iloc[-1]) + 1
+        _check_batch(pdf, batch_id, results[-1]["last_seq"] + 1 if results else 0)
         results.append(
             {
                 "window": int(batch_id),
                 "n_events": len(pdf),
                 "last_seq": int(pdf["seq"].iloc[-1]),
-                "estimate": float(sampler.estimate),
+                "estimate": run_trial(pdf, sampler, len(pdf))["final"],
             }
         )
 

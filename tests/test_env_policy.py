@@ -85,7 +85,7 @@ def test_env_rewards_telescope(stream):
     exact = ExactCounter("triangle")
     for op, u, v in zip(stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist()):
         exact.process(op, u, v)
-    eps = abs(smp.estimate - exact.count) / max(1.0, exact.count)
+    eps = abs(smp.estimate - exact.estimate) / max(1.0, exact.estimate)
     assert eps > 0
     assert ret == pytest.approx(-eps, abs=1e-9)
     assert ret == pytest.approx(rb.r[:run.steps].sum(), abs=1e-9)

@@ -50,7 +50,7 @@ def test_incremental_matches_bruteforce_inserts(pattern, seed):
             continue
         edges.add(key)
         counter.insert(u, v)
-    assert counter.count == _brute_count(edges, pattern)
+    assert counter.estimate == _brute_count(edges, pattern)
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
@@ -73,7 +73,7 @@ def test_incremental_matches_bruteforce_dynamic(pattern, seed):
                 continue
             edges.add(key)
             counter.insert(u, v)
-    assert counter.count == _brute_count(edges, pattern)
+    assert counter.estimate == _brute_count(edges, pattern)
     assert counter.n_edges == len(edges)
 
 
@@ -83,10 +83,10 @@ def test_delete_then_reinsert_restores_count(pattern):
     base = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3)]
     for e in base:
         counter.insert(*e)
-    before = counter.count
+    before = counter.estimate
     counter.delete(1, 2)
     counter.insert(1, 2)
-    assert counter.count == before
+    assert counter.estimate == before
 
 
 def test_defensive_duplicate_and_missing():
@@ -121,7 +121,7 @@ def test_truth_trajectory_final_matches_counter():
     counter = ExactCounter("triangle")
     for op, u, v in zip(stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist()):
         counter.process(op, u, v)
-    assert truth[-1] == counter.count
+    assert truth[-1] == counter.estimate
 
 
 def test_truth_trajectory_massive_drops():

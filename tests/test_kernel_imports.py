@@ -3,7 +3,7 @@
 Stream construction, ground truth, the kernels and WSD-L training never
 start Spark, so importing them must not load pyspark (or the pandas and JVM
 gateway it drags in). Spark is imported only by the trial fan-out, the table
-command, Structured Streaming and the DuckDB-vs-Spark oracle.
+command and Structured Streaming.
 """
 import ast
 import os
@@ -27,7 +27,6 @@ SPARK_MODULES = {
     "harness/trials.py",
     "harness/tables.py",
     "streaming/windowed.py",
-    "oracle.py",
 }
 
 

@@ -44,27 +44,26 @@ def test_mtimes_strictly_increase(tmp_path, stream):
     assert all(b > a for a, b in zip(mtimes, mtimes[1:]))
 
 
+def _assert_streaming_is_batch(spark, tmp_path, stream, make, window: int) -> None:
+    """Every window's estimate equals the batch kernel's at the same event,
+    bit for bit, for two samplers built alike by ``make``."""
+    batch = run_trial(stream, make(), window)
+    df = run_streaming_estimate(spark, stream, make(), window_size=window, work_dir=tmp_path)
+    assert df["estimate"].tolist() == batch["est"].tolist()
+    assert (df["last_seq"] + 1).tolist() == batch["ckpt_idx"].tolist()
+
+
 def test_streaming_identical_to_batch_wsd(spark, tmp_path, stream):
-    ck = max(1, len(stream) // 6)
-    batch = run_trial(stream, WSD(50, "triangle", heuristic_weight, seed=9), ck)
-    s = WSD(50, "triangle", heuristic_weight, seed=9)
-    df = run_streaming_estimate(spark, stream, s, window_size=ck, work_dir=tmp_path)
-    assert df["estimate"].iloc[-1] == pytest.approx(batch["final"], abs=1e-12)
-    # per-window estimates line up with the batch checkpoints
-    for w in range(min(len(df), len(batch["est"]))):
-        if df["last_seq"].iloc[w] + 1 == batch["ckpt_idx"][w]:
-            assert df["estimate"].iloc[w] == pytest.approx(batch["est"][w], abs=1e-12)
+    _assert_streaming_is_batch(
+        spark, tmp_path, stream, lambda: WSD(50, "triangle", heuristic_weight, seed=9),
+        max(1, len(stream) // 6),
+    )
 
 
 def test_streaming_identical_to_batch_baseline(spark, tmp_path, stream):
-    batch = ThinkD(50, "triangle", 4)
-    for op, u, v in zip(stream["op"].tolist(), stream["u"].tolist(), stream["v"].tolist()):
-        batch.process(op, u, v)
-    s = ThinkD(50, "triangle", 4)
-    df = run_streaming_estimate(
-        spark, stream, s, window_size=max(1, len(stream) // 4), work_dir=tmp_path
+    _assert_streaming_is_batch(
+        spark, tmp_path, stream, lambda: ThinkD(50, "triangle", 4), max(1, len(stream) // 4)
     )
-    assert df["estimate"].iloc[-1] == pytest.approx(batch.estimate, abs=1e-12)
 
 
 def test_streaming_window_rows(spark, tmp_path, stream):
@@ -109,3 +108,24 @@ def test_streaming_rejects_malformed_event(spark, tmp_path, stream, monkeypatch)
             spark, tmp_path, stream, monkeypatch, 1,
             lambda lines: lines[:50] + ['{"seq": 250, "op": \n'] + lines[51:],
         )
+
+
+@pytest.mark.parametrize(
+    "window, line, fields, message",
+    [
+        # every sampler would process op 0 as a deletion
+        (0, 30, {"op": 0}, r"window 0: op not \+1/-1 at seq 30"),
+        # WSD would take the self-loop into its reservoir
+        (1, 70, {"u": 7, "v": 7}, "window 1: self-loop at seq 270"),
+    ],
+    ids=["op-0", "self-loop"],
+)
+def test_streaming_rejects_infeasible_event(
+    spark, tmp_path, stream, monkeypatch, window, line, fields, message
+):
+    def edit(lines):
+        lines[line] = json.dumps({**json.loads(lines[line]), **fields}) + "\n"
+        return lines
+
+    with pytest.raises(StreamingQueryException, match=message):
+        _run_with_edit(spark, tmp_path, stream, monkeypatch, window, edit)

@@ -83,7 +83,7 @@ def test_aggregate_matches_duckdb_oracle(spark, setting):
     oracle-checked, the concurrency each time_s was taken under included."""
     pdf = _fanout(spark, setting, ALGOS, 3).toPandas()
     assert_equivalent(
-        spark.createDataFrame(aggregate(spark.createDataFrame(pdf))),
+        aggregate(spark.createDataFrame(pdf)),
         """SELECT label, avg(are) AS are, avg(mare) AS mare, avg(time_s) AS time_s,
                   max(concurrency) AS concurrency, count(run) AS n_runs
            FROM trials GROUP BY label""",
