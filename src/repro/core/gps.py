@@ -11,7 +11,8 @@ GPS-A handles a deletion by attaching a "DEL" tag: the edge stops forming
 subgraphs and is excluded from the estimator, but keeps occupying reservoir
 capacity until evicted by rank — the space-waste drawback WSD removes.
 
-Both run WSD's insertion path (Algorithm 1) unchanged, and there its
+Both run WSD's insertion path (Algorithm 1) unchanged, where a re-inserted
+edge replaces its GPS-A zombie. On a stream without re-insertions its
 ``tau_q`` is GPS's z* after every event. GPS never removes an edge and GPS-A
 only tags one, so an edge leaves the reservoir only by ``pop_min`` and the
 reservoir's minimum rank never falls. Hence:

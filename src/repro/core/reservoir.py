@@ -15,7 +15,8 @@ the weight function read ``.weight`` and ``.t`` without a second lookup.
 
 GPS-A's "DEL"-tagged zombies are supported natively: ``tag`` removes the edge
 from the adjacency index (it no longer forms subgraphs) while the record keeps
-occupying reservoir capacity until evicted by rank.
+occupying reservoir capacity until evicted by rank or removed (``adj_remove``
+of a zombie, already out of the index, changes no set).
 """
 from __future__ import annotations
 
@@ -70,19 +71,17 @@ class Reservoir:
         adj_add(self.adj, key)
 
     def remove(self, key: tuple[int, int]) -> EdgeRecord:
-        """Remove an edge outright (WSD Case 3). Heap entry removed lazily."""
+        """Remove an edge outright (WSD Case 3, or the GPS-A zombie of a
+        re-inserted edge). Heap entry removed lazily."""
         rec = self.records.pop(key)
-        if not rec.tagged:
-            adj_remove(self.adj, key)
+        adj_remove(self.adj, key)
         return rec
 
     def tag(self, key: tuple[int, int]) -> None:
         """GPS-A deletion: mark as DEL and stop it forming subgraphs, but keep
         it occupying capacity (and evictable by rank)."""
-        rec = self.records[key]
-        if not rec.tagged:
-            rec.tagged = True
-            adj_remove(self.adj, key)
+        self.records[key].tagged = True
+        adj_remove(self.adj, key)
 
     def min_entry(self) -> tuple[tuple[int, int], EdgeRecord]:
         """(key, record) of the minimum-rank sampled edge. O(log M) amortised."""
@@ -98,8 +97,7 @@ class Reservoir:
         key, rec = self.min_entry()
         heappop(self._heap)
         del self.records[key]
-        if not rec.tagged:
-            adj_remove(self.adj, key)
+        adj_remove(self.adj, key)
         return key, rec
 
     def instances(self, pattern: str, u: int, v: int) -> list:

@@ -77,7 +77,9 @@ class WSD:
         res = self.res
         key = (u, v) if u < v else (v, u)
         if key in res.records:
-            return  # infeasible event; defensive no-op
+            if not res.records[key].tagged:
+                return  # infeasible event; defensive no-op
+            res.remove(key)  # a re-arrival replaces its GPS-A zombie
         # Estimator update (Algorithm 2 lines 4–7), then the sampling
         # decision (Algorithm 1 ``insert``) with the weight W(e, R).
         inst = res.instances(self.pattern, u, v)

@@ -22,12 +22,21 @@ from ..draws import Draws
 
 STREAM_DTYPE = np.dtype([("op", np.int8), ("u", np.int64), ("v", np.int64)])
 
+# The deletion parameters of every run (DESIGN.md §4): α gives about four
+# massive deletions over our 5–25k edges, as the paper's 1/3,000,000 over its
+# millions; its β_m = 0.8 would leave single-digit counts here; β_l is its own.
+ALPHA = 3e-4
+BETA_M = 0.5
+BETA_L = 0.2
 # Share of insertions that may be followed by a massive-deletion event
 # (DESIGN.md §4); see ``massive_deletion_stream``.
 LAST_DEL_FRAC = 0.55
 
 __all__ = [
     "STREAM_DTYPE",
+    "ALPHA",
+    "BETA_M",
+    "BETA_L",
     "LAST_DEL_FRAC",
     "make_stream",
     "massive_deletion_stream",
@@ -137,9 +146,9 @@ def make_stream(
     edges: np.ndarray,
     scenario: str,
     *,
-    alpha: float = 1e-4,
-    beta_m: float = 0.8,
-    beta_l: float = 0.2,
+    alpha: float = ALPHA,
+    beta_m: float = BETA_M,
+    beta_l: float = BETA_L,
     seed: int = 0,
 ) -> np.ndarray:
     """One-stop stream constructor used by the harness and WSD-L training."""

@@ -4,14 +4,15 @@ paper-table command (``harness/tables.py``).
 
 Paper defaults: M = 200,000 (1.2–6.7% of |E|), α = 3,000,000⁻¹, β_m = 0.8,
 β_l = 0.2, 100 sampling repetitions. Scaled defaults keep the sampling
-*ratio* (M ≈ 5% |E|), the expected number of massive-deletion events (~4),
-and the deletion regime; β_m = 0.5 keeps the post-deletion true count
-positive at small scale (DESIGN.md substitutions).
+*ratio* (M ≈ 5% |E|) and the deletion regime; the deletion parameters are
+``make_stream``'s defaults, with their reasons beside them in
+``graphs/streams.py`` (DESIGN.md §4).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..graphs.streams import ALPHA, BETA_L, BETA_M
 from ..rl.train import TrainConfig
 
 __all__ = ["ExpConfig", "BENCH", "BENCH_TRAIN", "TEST"]
@@ -22,9 +23,9 @@ class ExpConfig:
     scale: float = 0.4          # dataset scale factor (1.0 = full proxy size)
     m_ratio: float = 0.05       # reservoir budget as a fraction of |E|
     n_runs: int = 12            # sampling repetitions (paper: 100)
-    alpha: float = 3e-4         # massive-deletion event probability
-    beta_m: float = 0.5         # per-edge massive-deletion probability
-    beta_l: float = 0.2         # light-deletion probability (paper value)
+    alpha: float = ALPHA        # massive-deletion event probability
+    beta_m: float = BETA_M      # per-edge massive-deletion probability
+    beta_l: float = BETA_L      # light-deletion probability (paper value)
     n_ckpt: int = 40            # MARE checkpoints per stream
     mare_floor: float = 30.0    # min truth for a checkpoint to count
     stream_seed: int = 3        # stream construction seed (shared by trials)

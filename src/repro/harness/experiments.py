@@ -150,6 +150,10 @@ absolute values incomparable; orderings are).
 ---
 """
 
+# The sampling repetitions of the results that ``SUMMARY`` and ``NOTES``
+# quote; results at another count get a notice that the prose may not match.
+PROSE_N_RUNS = 12
+
 SUMMARY = """\
 Reproduced (✓) / partially (≈) / not reproduced (✗) at reduced scale:
 
@@ -251,15 +255,15 @@ def _read(path: Path) -> str | None:
     return text
 
 
-def _n_runs(tables: dict, results_dir: Path) -> str:
+def _n_runs(tables: dict, results_dir: Path) -> set[int]:
     """The sampling repetitions behind the measured means: every distinct
-    ``n_runs`` in the tables' tidy results, joined by "/"."""
+    ``n_runs`` in the tables' tidy results."""
     runs = set()
     for tid in tables:
         path = results_dir / f"{tid}_tidy.json"
         if path.exists():
             runs |= {row["n_runs"] for row in json.loads(path.read_text()) if "n_runs" in row}
-    return "/".join(map(str, sorted(runs))) or "no"
+    return runs
 
 
 def build_experiments(tables: dict, results_dir: Path) -> str:
@@ -267,8 +271,16 @@ def build_experiments(tables: dict, results_dir: Path) -> str:
     ``harness.tables.Table``), in id order: its title, the paper's numbers,
     the measured pivots (the tidy table where there are none) and the shape
     check."""
-    header = HEADER.replace("%%N_RUNS%%", _n_runs(tables, results_dir))
-    parts = [header.replace("%%SUMMARY%%", SUMMARY.strip())]
+    runs = _n_runs(tables, results_dir)
+    shown = "/".join(map(str, sorted(runs))) or "no"
+    summary = SUMMARY.strip()
+    if runs - {PROSE_N_RUNS}:
+        summary = (
+            f"*The summary and shape checks were written for {PROSE_N_RUNS}-run results; "
+            f"these results have {shown} runs, so the cells they quote may differ.*\n\n"
+        ) + summary
+    header = HEADER.replace("%%N_RUNS%%", shown)
+    parts = [header.replace("%%SUMMARY%%", summary)]
     for tid, table in sorted(tables.items()):
         parts.append(f"\n## {table.title}\n")
         if tid in PAPER:

@@ -58,8 +58,8 @@ __all__ = [
 ROOT = Path(__file__).resolve().parents[3]
 RESULTS_DIR = ROOT / "results"
 
-TEST_GRAPHS = ["cit-PT", "com-YT", "soc-TW", "web-GL", "synthetic"]
-TRAIN_GRAPHS = ["cit-HE", "com-DB", "soc-TX", "web-SF", "synthetic-train"]
+TEST_GRAPHS = list(TRAIN_OF)
+TRAIN_GRAPHS = list(TRAIN_OF.values())
 # the paper's 4-clique tables omit soc-TW (too expensive); we follow suit
 TEST_GRAPHS_4CLIQUE = ["cit-PT", "com-YT", "web-GL", "synthetic"]
 # the test graphs of the transferability and ablation tables
@@ -137,7 +137,7 @@ def table_cells(
     cfg: ExpConfig,
     *,
     scope: Hashable,
-    train_cfg: TrainConfig | None = None,
+    train_cfg: TrainConfig,
 ) -> pd.DataFrame:
     """ARE, MARE and per-trial runtime of every column on every cell, one
     row per (cell, column), with the cell's final truth, M and stream
@@ -180,16 +180,16 @@ def table_training(
     scenario: str,
     *,
     scope: Hashable,
-    train_cfg: TrainConfig | None = None,
-    train_graphs: list[str] | None = None,
-    patterns: list[str] | None = None,
+    train_cfg: TrainConfig,
+    train_graphs: Sequence[str] = tuple(TRAIN_OF[g] for g in TEST_GRAPHS_REAL),
+    patterns: Sequence[str] = ("triangle", "wedge"),
 ) -> pd.DataFrame:
     """Tables IV/XI: training wall-time per (training graph, pattern), with
     the number of worker processes that validated its candidates, as
     measured when this process trained the policy in ``scope``."""
     rows = []
-    for g in train_graphs or ["cit-HE", "com-DB", "soc-TX", "web-SF"]:
-        for pat in patterns or ["triangle", "wedge"]:
+    for g in train_graphs:
+        for pat in patterns:
             _, info = get_or_train_policy(scope, g, scenario, pat, train_cfg)
             rows.append(
                 {

@@ -3,8 +3,9 @@
 Follows the paper's protocol at reduced scale: for each (category, deletion
 scenario, pattern) we train on several streams generated from the category's
 *training* graph (Table I pairing) with the same deletion parameters as the
-test stream, for a fixed number of gradient updates (paper: 1000 iterations,
-replay 10k, batch 128, Adam lr 1e-3, γ = 0.99). An episode is one pass of WSD
+test stream (``make_stream``'s defaults), for a fixed number of gradient
+updates (paper: 1000 iterations, replay 10k, batch 128, Adam lr 1e-3,
+γ = 0.99). An episode is one pass of WSD
 itself over a training stream, with the exploring actor as its weight
 function (``_Exploration.episode``).
 
@@ -68,9 +69,6 @@ class TrainConfig:
     update_every: int = 4       # transitions per gradient update
     warm_start: bool = True     # init actor at the WSD-H heuristic
     restarts: int = 1           # independent DDPG runs pooled for selection
-    alpha: float = 3e-4
-    beta_m: float = 0.5
-    beta_l: float = 0.2
 
 
 def _training_streams(dataset: str, scenario: str, cfg: TrainConfig):
@@ -79,13 +77,7 @@ def _training_streams(dataset: str, scenario: str, cfg: TrainConfig):
     # built from the same graph (generation is deterministic), with its own
     # stream seed.
     edges = generate(dataset, scale=cfg.scale, seed_offset=0)
-    return [
-        make_stream(
-            edges, scenario, alpha=cfg.alpha, beta_m=cfg.beta_m,
-            beta_l=cfg.beta_l, seed=SEED + 100 + i,
-        )
-        for i in range(cfg.n_streams)
-    ]
+    return [make_stream(edges, scenario, seed=SEED + 100 + i) for i in range(cfg.n_streams)]
 
 
 class _Exploration:
@@ -162,12 +154,11 @@ def train_policy(
     dataset: str,
     scenario: str,
     pattern: str,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig = TrainConfig(),
     variant: str = "max",
 ) -> tuple[LearnedPolicy, dict]:
     """Train a WSD-L policy; returns (policy, info) with training wall-time
     and the per-episode return trace."""
-    cfg = cfg or TrainConfig()
     t0 = time.perf_counter()
     streams = _training_streams(dataset, scenario, cfg)
     t_ddpg = time.perf_counter()
@@ -214,10 +205,7 @@ def train_policy(
     # snapshots, final actor, or the initialisation — with the lowest mean
     # relative error on a held-out stream from the same training graph.
     val_edges = generate(dataset, scale=cfg.scale, seed_offset=7)
-    val_stream = make_stream(
-        val_edges, scenario, alpha=cfg.alpha, beta_m=cfg.beta_m,
-        beta_l=cfg.beta_l, seed=SEED + 997,
-    )
+    val_stream = make_stream(val_edges, scenario, seed=SEED + 997)
     t_validate = time.perf_counter()
     _, val_truth = truth_trajectory(val_stream, pattern, 10**9)
     candidates = [heuristic_init_params(pattern)] if cfg.warm_start else []
@@ -307,14 +295,13 @@ def get_or_train_policy(
     dataset: str,
     scenario: str,
     pattern: str,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig = TrainConfig(),
     variant: str = "max",
 ) -> tuple[LearnedPolicy, dict]:
     """``train_policy``'s result, trained on the first call for these
     arguments in ``scope`` and returned again on later ones; nothing is
     written to ``scope``. ``info['cached']`` says whether this call found it
     trained."""
-    cfg = cfg or TrainConfig()
     key = (scope, dataset, scenario, pattern, variant, cfg)
     cached = key in _trained
     if not cached:

@@ -6,10 +6,11 @@ ordered micro-batch files (one file = one tumbling window of ``window_size``
 events), read back with a file-source ``readStream`` processing one file per
 trigger, and each micro-batch is fed — in event order — into the stateful
 WSD/baseline sampler held by the driver via ``foreachBatch``. A micro-batch
-costs one Spark job, its ``toPandas()`` collect; it is sorted by ``seq`` and
-checked in pandas, then fed through ``runner.run_trial``, the loop the batch
-kernel runs. One output row per window: (window, n_events, last_seq,
-estimate).
+costs one Spark job, its ``toPandas()`` collect; it is sorted by ``seq``,
+checked in Python (well-formed events, feasible against the edges the
+earlier micro-batches left alive), then fed through ``runner.run_trial``,
+the loop the batch kernel runs. One output row per window: (window,
+n_events, last_seq, estimate).
 
 A test asserts the streaming path is *bit-identical* to the batch kernel for
 the same seed: the operator sees the same events in the same order, so the
@@ -72,9 +73,14 @@ def write_event_files(stream: np.ndarray, out_dir: str | Path, window_size: int)
     return paths
 
 
-def _check_batch(pdf: pd.DataFrame, window: int, first: int) -> None:
+def _check_batch(
+    pdf: pd.DataFrame, window: int, first: int, alive: set[tuple[int, int]]
+) -> None:
     """Raise unless the micro-batch ``pdf``, sorted by ``seq``, holds events
-    ``first, first + 1, …`` with every field set, ``op`` ±1 and ``u != v``.
+    ``first, first + 1, …`` with every field set, ``op`` ±1 and ``u != v``,
+    that are feasible (Definition 1) given ``alive``, the edges the earlier
+    micro-batches left in the graph: no insertion of an alive edge and no
+    deletion of an absent one. ``alive`` is advanced past the batch.
     A malformed JSON line reads back as a row of nulls; a missing or
     repeated line breaks the run of ``seq``."""
     nulls = int(pdf[["seq", "op", "u", "v"]].isna().any(axis=1).sum())
@@ -94,6 +100,12 @@ def _check_batch(pdf: pd.DataFrame, window: int, first: int) -> None:
     for what, bad in (("op not +1/-1", (op != 1) & (op != -1)), ("self-loop", u == v)):
         if bad.any():
             raise RuntimeError(f"window {window}: {what} at seq {int(seq[bad][0])}")
+    for i, o, a, b in zip(seq.tolist(), op.tolist(), u.tolist(), v.tolist()):
+        key = (a, b) if a < b else (b, a)
+        if (key in alive) == (o > 0):
+            what = "insertion of alive" if o > 0 else "deletion of absent"
+            raise RuntimeError(f"window {window}: {what} edge ({a}, {b}) at seq {i}")
+        alive ^= {key}  # a feasible event toggles its edge
 
 
 def run_streaming_estimate(
@@ -116,12 +128,13 @@ def run_streaming_estimate(
     write_event_files(stream, in_dir, window_size)
 
     results: list[dict] = []
+    alive: set[tuple[int, int]] = set()  # the graph's edges after the last batch
 
     def feed(batch_df, batch_id: int) -> None:
         pdf = batch_df.toPandas().sort_values("seq", ignore_index=True)
         if pdf.empty:
             return
-        _check_batch(pdf, batch_id, results[-1]["last_seq"] + 1 if results else 0)
+        _check_batch(pdf, batch_id, results[-1]["last_seq"] + 1 if results else 0, alive)
         results.append(
             {
                 "window": int(batch_id),

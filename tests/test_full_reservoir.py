@@ -24,6 +24,16 @@ CKPT_EVERY = 50
 
 @lru_cache(maxsize=None)
 def _stream(scenario: str) -> np.ndarray:
+    if scenario == "re-insertion":
+        # A light stream, then every deleted edge inserted again, then every
+        # second one of those deleted again. GPS-A still holds some of the
+        # deleted edges as DEL-tagged zombies when they come back.
+        light = make_stream(generate("soc-TX", scale=0.05), "light", seed=1)
+        back = light[light["op"] < 0].copy()
+        back["op"] = 1
+        again = back[::2].copy()
+        again["op"] = -1
+        return np.concatenate([light, back, again])
     edges = generate("soc-TX", scale=0.06)
     return make_stream(edges, scenario, alpha=3e-3, beta_m=0.5, beta_l=0.2, seed=5)
 
@@ -33,7 +43,7 @@ def _policy(pattern: str) -> dict:
     return {"W": np.linspace(-1.0, 9.0, d)[None, :], "b": np.array([0.25])}
 
 
-@pytest.mark.parametrize("scenario", ["massive", "light", "insertion-only"])
+@pytest.mark.parametrize("scenario", ["massive", "light", "insertion-only", "re-insertion"])
 @pytest.mark.parametrize("pattern", ["wedge", "triangle", "4clique"])
 @pytest.mark.parametrize("algo", ALGOS_DYNAMIC)
 def test_every_checkpoint_exact_with_full_reservoir(algo, pattern, scenario):

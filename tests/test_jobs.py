@@ -78,3 +78,4 @@ def test_experiments_md_states_n_runs_of_results(tmp_path):
                "table03_tidy", tmp_path)
     text = build_experiments(TABLES, tmp_path)
     assert "are means over 5 sampling repetitions" in text
+    assert "written for 12-run results; these results have 5 runs" in text

@@ -117,8 +117,14 @@ def test_streaming_rejects_malformed_event(spark, tmp_path, stream, monkeypatch)
         (0, 30, {"op": 0}, r"window 0: op not \+1/-1 at seq 30"),
         # WSD would take the self-loop into its reservoir
         (1, 70, {"u": 7, "v": 7}, "window 1: self-loop at seq 270"),
+        # seq 0 inserted (13, 17), and no event has deleted it since
+        (1, 50, {"op": 1, "u": 17, "v": 13},
+         r"window 1: insertion of alive edge \(17, 13\) at seq 250"),
+        # no event has inserted (5, 6)
+        (0, 40, {"op": -1, "u": 5, "v": 6},
+         r"window 0: deletion of absent edge \(5, 6\) at seq 40"),
     ],
-    ids=["op-0", "self-loop"],
+    ids=["op-0", "self-loop", "duplicate-insertion", "absent-deletion"],
 )
 def test_streaming_rejects_infeasible_event(
     spark, tmp_path, stream, monkeypatch, window, line, fields, message
